@@ -30,7 +30,7 @@ ablation chain of Figure 7 (top).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import AcfConfigError
@@ -119,15 +119,6 @@ def _instruction_compressible(instr: Instruction,
 
 
 @dataclass
-class _Template:
-    """A parameterized dictionary-entry candidate."""
-
-    key: Tuple[ReplacementInstr, ...]
-    #: operand descriptors per instance param slot: ('reg', reg) / ('imm', v)
-    has_branch: bool
-
-
-@dataclass
 class _Occurrence:
     start: int
     length: int
@@ -135,6 +126,8 @@ class _Occurrence:
     params: Tuple[int, int, int]
     #: original index of the trailing branch, if any.
     branch_index: Optional[int]
+    #: the parameter-assignment strategy that gave this occurrence its key.
+    strategy: str
 
 
 def _reg_directive(reg: Optional[int], param_of: Dict[Tuple[str, int], str]):
@@ -271,12 +264,216 @@ def _parameterized_rinstr(instr: Instruction,
 # ----------------------------------------------------------------------
 # Candidate enumeration
 # ----------------------------------------------------------------------
+#
+# Enumeration keys every window by a flat tuple, far cheaper to build and
+# hash than the template's dataclasses: five items per instruction — the
+# opcode code, then the ra, rb, rc and imm fields, each as None, a literal
+# value (int) or a slot name ("p1".."p3", "p23" for a branch offset).  That
+# is exactly what each ReplacementInstr of make_template holds (None,
+# Lit(value), TrigField(slot)), so two windows get equal keys exactly when
+# make_template gives them equal templates, and a key comes with
+# make_template's parameters.  make_template stays the definition: it
+# builds the templates of the selected entries, and the tests check the
+# keys against it.
+
+
+class _Columns:
+    """The per-instruction facts a template depends on, computed once.
+
+    ``fields`` is an instruction's key part before any operand takes a slot:
+    its opcode code and raw fields, or for a parameterized branch its ``ra``
+    and the ``"p23"`` offset.  ``regs`` are its non-zero operand registers
+    and ``imms`` its parameterizable immediate (empty and None when the
+    options do not parameterize).
+    """
+
+    def __init__(self, instrs: List[Instruction],
+                 options: CompressionOptions):
+        parameterize = options.parameterize
+        self.fields: List[tuple] = []
+        self.regs: List[Tuple[int, ...]] = []
+        self.imms: List[Optional[int]] = []
+        self.is_branch: List[bool] = []
+        self.mid_ok: List[bool] = []
+        self.last_ok: List[bool] = []
+        for instr in instrs:
+            op = instr.opcode
+            branch = op.is_branch
+            self.is_branch.append(branch)
+            mid_ok = _instruction_compressible(instr, options, is_last=False)
+            self.mid_ok.append(mid_ok)
+            # Only a branch depends on its position, and unparameterized
+            # compression cannot move branches.
+            self.last_ok.append(
+                (_instruction_compressible(instr, options, is_last=True)
+                 and parameterize) if branch else mid_ok)
+            if branch and parameterize:
+                self.fields.append((op.code, instr.ra, None, None, "p23"))
+            else:
+                self.fields.append(
+                    (op.code, instr.ra, instr.rb, instr.rc, instr.imm))
+            if not parameterize:
+                self.regs.append(())
+                self.imms.append(None)
+                continue
+            self.regs.append(tuple(reg for reg in _operand_regs(instr)
+                                   if reg != ZERO_REG))
+            imm = instr.imm
+            self.imms.append(
+                imm if not branch and imm is not None
+                and _PARAM_IMM_MIN <= imm <= _PARAM_IMM_MAX else None)
+
+
+def _slot_operands(regs: List[int], imms: List[int], slots: int,
+                   strategy: str) -> Tuple[Tuple[str, int], ...]:
+    """The ``(kind, value)`` operands given slots p1.. in slot order."""
+    if strategy == "regs_first":
+        operands = [("reg", reg) for reg in regs[:slots]]
+        operands += [("imm", value) for value in imms]
+    else:
+        operands = [("imm", value) for value in imms[:slots]]
+        operands += [("reg", reg) for reg in regs]
+    return tuple(operands[:slots])
+
+
+class _WindowKey:
+    """One strategy's slot assignment and key while a window grows."""
+
+    __slots__ = ("strategy", "operands", "reg_slot", "imm_slot", "params",
+                 "key")
+
+    def __init__(self, strategy: str):
+        self.strategy = strategy
+        self.key: tuple = ()
+        self.operands: Tuple[Tuple[str, int], ...] = ()
+        self.reg_slot: Dict[int, str] = {}
+        self.imm_slot: Dict[int, str] = {}
+        self.params = (ZERO_REG, ZERO_REG, ZERO_REG)
+
+    def reassign(self, operands: Tuple[Tuple[str, int], ...]) -> bool:
+        """Give ``operands`` the slots; False if they already hold them."""
+        if operands == self.operands:
+            return False
+        self.operands = operands
+        self.reg_slot = {}
+        self.imm_slot = {}
+        params = [ZERO_REG, ZERO_REG, ZERO_REG]
+        for index, (kind, value) in enumerate(operands):
+            if kind == "reg":
+                self.reg_slot[value] = _P_SLOTS[index]
+                params[index] = value
+            else:
+                self.imm_slot[value] = _P_SLOTS[index]
+                params[index] = value & 0x1F
+        self.params = tuple(params)
+        return True
+
+    def part(self, fields: tuple) -> tuple:
+        """One instruction's key part under the current assignment."""
+        if not self.operands:
+            return fields
+        code, ra, rb, rc, imm = fields
+        reg_slot = self.reg_slot
+        return (code, reg_slot.get(ra, ra), reg_slot.get(rb, rb),
+                reg_slot.get(rc, rc), self.imm_slot.get(imm, imm))
+
+    def rebuild(self, fields: List[tuple], start: int, end: int):
+        key = ()
+        for index in range(start, end + 1):
+            key += self.part(fields[index])
+        self.key = key
+
+
+def _window_keys(columns: _Columns, start: int, stop: int, min_len: int,
+                 strategies: Tuple[str, ...]):
+    """Keys of the windows ``[start, start + length)``, shortest first.
+
+    Yields ``(length, [(key, params, strategy), ...])`` for each length from
+    ``min_len`` to ``stop - start``, stopping at the first ineligible
+    window; a strategy whose key equals an earlier strategy's is left out.
+    Each key extends the previous window's by one part, except when the new
+    instruction changes which operands hold slots, or is a branch, whose
+    offset leaves one slot.
+    """
+    fields, regs_of, imms_of = columns.fields, columns.regs, columns.imms
+    last_ok, mid_ok = columns.last_ok, columns.mid_ok
+    states = [_WindowKey(strategy) for strategy in strategies]
+    # Under either strategy the slots go to operands among the first three
+    # distinct registers and the first three distinct immediates, so later
+    # ones cannot change the assignment.
+    regs: List[int] = []
+    imms: List[int] = []
+    for end in range(start, stop):
+        length = end - start + 1
+        if length >= min_len and not last_ok[end]:
+            return
+        new = False
+        for reg in regs_of[end]:
+            if len(regs) < 3 and reg not in regs:
+                regs.append(reg)
+                new = True
+        imm = imms_of[end]
+        if imm is not None and len(imms) < 3 and imm not in imms:
+            imms.append(imm)
+            new = True
+        if columns.is_branch[end]:
+            # A branch is never eligible mid-sequence, so this is the last
+            # window; its offset takes P2:P3, leaving P1 for one operand.
+            if length >= min_len:
+                for state in states:
+                    state.reassign(
+                        _slot_operands(regs, imms, 1, state.strategy))
+                    state.rebuild(fields, start, end)
+                yield length, _distinct(states)
+            return
+        for state in states:
+            if new and state.reassign(
+                    _slot_operands(regs, imms, 3, state.strategy)):
+                state.rebuild(fields, start, end)
+            else:
+                state.key += state.part(fields[end])
+        if length >= min_len:
+            yield length, _distinct(states)
+        if not mid_ok[end]:
+            return
+
+
+def _distinct(states: List[_WindowKey]
+              ) -> List[Tuple[tuple, Tuple[int, int, int], str]]:
+    keys: List[tuple] = []
+    keyed = []
+    for state in states:
+        if state.key not in keys:
+            keys.append(state.key)
+            keyed.append((state.key, state.params, state.strategy))
+    return keyed
+
+
+def candidate_key(instrs: List[Instruction], options: CompressionOptions,
+                  strategy: str = "regs_first"
+                  ) -> Optional[Tuple[tuple, Tuple[int, int, int]]]:
+    """The enumeration key and parameters of a whole sequence, or None.
+
+    The fast form of :func:`make_template`: two sequences get equal keys
+    exactly when make_template gives them equal templates, and then the
+    same parameters; None exactly when make_template returns None.
+    """
+    if strategy not in STRATEGIES:
+        raise AcfConfigError(f"unknown strategy {strategy!r}")
+    columns = _Columns(instrs, options)
+    for _, keyed in _window_keys(columns, 0, len(instrs), len(instrs),
+                                 (strategy,)):
+        key, params, _ = keyed[0]
+        return key, params
+    return None
+
+
 def enumerate_candidates(image: ProgramImage, options: CompressionOptions
-                         ) -> Dict[Tuple[ReplacementInstr, ...],
-                                   List[_Occurrence]]:
-    """All candidate (template -> occurrences) groups in the image."""
+                         ) -> Dict[tuple, List[_Occurrence]]:
+    """All candidate (key -> occurrences) groups in the image, in order of
+    first appearance; each group's occurrences ascend by start."""
     candidates: Dict[tuple, List[_Occurrence]] = {}
-    instructions = image.instructions
+    columns = _Columns(image.instructions, options)
     # Load-address pairs are relocation sites: they must survive verbatim so
     # they can be re-resolved after compression moves the code.
     blocked = [False] * image.instruction_count
@@ -287,33 +484,21 @@ def enumerate_candidates(image: ProgramImage, options: CompressionOptions
     strategies = STRATEGIES if options.parameterize else ("regs_first",)
     for block in find_basic_blocks(image):
         for start in range(block.start, block.end):
-            max_len = min(options.max_seq_len, block.end - start)
-            for length in range(options.min_seq_len, max_len + 1):
-                if blocked[start + length - 1] or blocked[start]:
+            if blocked[start]:
+                continue
+            stop = min(start + options.max_seq_len, block.end)
+            for length, keyed in _window_keys(columns, start, stop,
+                                              options.min_seq_len,
+                                              strategies):
+                end = start + length - 1
+                if blocked[end]:
                     break
-                seq = instructions[start:start + length]
-                seen_keys = set()
-                poisoned = False
-                for strategy in strategies:
-                    made = make_template(seq, options, strategy=strategy)
-                    if made is None:
-                        poisoned = True
-                        break
-                    key, params = made
-                    if key in seen_keys:
-                        continue  # strategies coincide (e.g. no immediates)
-                    seen_keys.add(key)
-                    branch_index = (
-                        start + length - 1
-                        if seq[-1].opcode.is_branch else None
-                    )
+                branch_index = end if columns.is_branch[end] else None
+                for key, params, strategy in keyed:
                     candidates.setdefault(key, []).append(
-                        _Occurrence(start=start, length=length,
-                                    params=params,
-                                    branch_index=branch_index)
+                        _Occurrence(start, length, params, branch_index,
+                                    strategy)
                     )
-                if poisoned:
-                    break  # an ineligible instr poisons longer sequences too
     return candidates
 
 
@@ -357,37 +542,46 @@ def select_dictionary(image: ProgramImage, options: CompressionOptions
                       ) -> List[DictionaryEntry]:
     """Greedy selection: repeatedly take the template with the greatest
     immediate compression (lazy-heap formulation of the paper's loop)."""
-    candidates = enumerate_candidates(image, options)
+    groups = list(enumerate_candidates(image, options).values())
     claimed = [False] * image.instruction_count
 
-    # Equal-gain ties break on enumeration order, which is a deterministic
-    # function of the image — never on id(), whose values vary from process
-    # to process and would give parallel workers different dictionaries.
-    rank = {key: index for index, key in enumerate(candidates)}
-
+    # Equal-gain ties break on enumeration order (a group's rank), which is
+    # a deterministic function of the image — never on id(), whose values
+    # vary from process to process and would give parallel workers
+    # different dictionaries.
     heap = []
-    for key, occurrences in candidates.items():
-        occurrences.sort(key=lambda o: o.start)
+    for rank, occurrences in enumerate(groups):
+        length = occurrences[0].length
+        if _savings(occurrences, length, options) <= 0:
+            continue  # no subset of the occurrences pays for the entry
         usable = _usable_occurrences(occurrences, claimed)
-        gain = _savings(usable, len(key), options)
+        gain = _savings(usable, length, options)
         if gain > 0:
-            heapq.heappush(heap, (-gain, rank[key], key))
+            heapq.heappush(heap, (-gain, rank))
 
     entries: List[DictionaryEntry] = []
     while heap and len(entries) < options.max_dict_entries:
-        neg_gain, _, key = heapq.heappop(heap)
-        usable = _usable_occurrences(candidates[key], claimed)
-        gain = _savings(usable, len(key), options)
+        neg_gain, rank = heapq.heappop(heap)
+        occurrences = groups[rank]
+        length = occurrences[0].length
+        usable = _usable_occurrences(occurrences, claimed)
+        gain = _savings(usable, length, options)
         if gain <= 0:
             continue
         if -neg_gain != gain:
-            heapq.heappush(heap, (-gain, rank[key], key))  # stale; re-rank
+            heapq.heappush(heap, (-gain, rank))  # stale; re-rank
             continue
         for occ in usable:
             for index in range(occ.start, occ.start + occ.length):
                 claimed[index] = True
+        first = usable[0]
+        template, _ = make_template(
+            image.instructions[first.start:first.start + length], options,
+            strategy=first.strategy,
+        )
         entries.append(
-            DictionaryEntry(tag=len(entries), template=key, occurrences=usable)
+            DictionaryEntry(tag=len(entries), template=template,
+                            occurrences=usable)
         )
     return entries
 
@@ -431,7 +625,7 @@ class CompressionResult:
         )
 
 
-def _patch_branch_params(template, params, offset_words):
+def _patch_branch_params(params, offset_words):
     """Fill P2:P3 with a branch offset; returns patched params or None."""
     if not _P23_MIN <= offset_words <= _P23_MAX:
         return None
@@ -539,8 +733,6 @@ def _build_compressed(image, entries, options):
     for old_index, old_target in enumerate(image.target_index):
         if old_target is None or old_index not in index_map:
             continue
-        if index_map.get(old_index) is None:
-            continue
         new_index = index_map[old_index]
         if new_instrs[new_index].opcode.is_reserved:
             continue  # branch swallowed into a codeword; handled via params
@@ -568,9 +760,8 @@ def _build_compressed(image, entries, options):
         if delta % INSTRUCTION_BYTES:
             violations.append((entry, occ))
             continue
-        patched = _patch_branch_params(
-            entry.template, occ.params, delta // INSTRUCTION_BYTES
-        )
+        patched = _patch_branch_params(occ.params,
+                                       delta // INSTRUCTION_BYTES)
         if patched is None:
             violations.append((entry, occ))
             continue

@@ -12,25 +12,35 @@ from hypothesis import given, settings, strategies as st
 from repro.acf.compression import (
     DEDICATED_OPTIONS,
     DISE_OPTIONS,
+    FIGURE7_VARIANTS,
+    STRATEGIES,
+    candidate_key,
     compress_image,
+    make_template,
 )
 from repro.acf.mfi import MFI_FAULT_CODE, attach_mfi, rewrite_mfi
 from repro.isa.build import (
     Imm,
     addq,
     and_,
+    beq,
     bis,
     bne,
+    br,
+    bsr,
     halt,
+    jsr,
     lda,
     ldq,
     out,
+    ret,
     sll,
     srl,
     stq,
     subq,
     xor,
 )
+from repro.isa.registers import ZERO_REG
 from repro.program.builder import ProgramBuilder
 from repro.sim.functional import Machine, run_program
 
@@ -119,6 +129,114 @@ class TestDecompressionIdentity:
         image = build_program(blocks, iterations)
         result = compress_image(image, DISE_OPTIONS)
         assert result.compressed_text_bytes <= result.original_text_bytes
+
+
+# Sequences for the candidate-key check: few registers (ZERO_REG among
+# them) so operands repeat, immediates on both sides of the 5-bit parameter
+# range, and every kind of control transfer the compressor must refuse or
+# may only take last.
+_KEY_REGS = (1, 2, 3, ZERO_REG)
+#: Six immediates that fit a 5-bit parameter, then three that do not.
+_KEY_IMMS = (-16, -1, 0, 1, 8, 15, -17, 16, 800)
+_key_reg = st.sampled_from(_KEY_REGS)
+_key_imm = st.sampled_from(_KEY_IMMS)
+_key_disp = st.sampled_from((-4, 2, 600))
+
+_key_body_instr = st.one_of(
+    st.builds(ldq, _key_reg, _key_imm, _key_reg),
+    st.builds(stq, _key_reg, _key_imm, _key_reg),
+    st.builds(lda, _key_reg, _key_imm, _key_reg),
+    st.builds(addq, _key_reg, _key_reg, _key_reg),
+    st.builds(lambda a, imm, c: subq(a, Imm(imm), c),
+              _key_reg, _key_imm, _key_reg),
+    st.builds(lambda a, imm, c: and_(a, Imm(imm), c),
+              _key_reg, _key_imm, _key_reg),
+)
+_key_control_instr = st.one_of(
+    st.builds(bne, _key_reg, _key_disp),
+    st.builds(beq, _key_reg, _key_disp),
+    st.builds(br, _key_disp, st.sampled_from((ZERO_REG, 26))),
+    st.builds(bsr, st.just(26), _key_disp),
+    st.builds(jsr, st.just(26), _key_reg),
+    st.builds(ret, st.just(26)),
+    st.builds(halt),
+)
+
+
+@st.composite
+def key_sequence_strategy(draw):
+    """1-8 instructions: a straight-line body, now and then a control
+    transfer inside it, and often one at the end."""
+    seq = draw(st.lists(_key_body_instr, max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        seq.insert(draw(st.integers(0, len(seq))), draw(_key_control_instr))
+    if draw(st.booleans()) or not seq:
+        seq.append(draw(_key_control_instr))
+    return seq
+
+
+def _renamed(seq, regs, imms):
+    """``seq`` with registers and immediates substituted, the way another
+    site of the same idiom would differ."""
+    reg_map = dict(zip(_KEY_REGS, regs))
+    imm_map = dict(zip(_KEY_IMMS, imms))
+    return [
+        instr.with_fields(
+            ra=reg_map.get(instr.ra, instr.ra),
+            rb=reg_map.get(instr.rb, instr.rb),
+            rc=reg_map.get(instr.rc, instr.rc),
+            imm=imm_map.get(instr.imm, instr.imm),
+        )
+        for instr in seq
+    ]
+
+
+#: Every Figure 7 variant, plus unparameterized compression that is allowed
+#: branches (it still cannot move them).
+_KEY_OPTIONS = FIGURE7_VARIANTS + (
+    ("dedicated+branches",
+     DEDICATED_OPTIONS.with_changes(compress_branches=True)),
+)
+
+
+class TestCandidateKeyProperties:
+    """The enumeration key groups windows exactly as make_template does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_key_equality_matches_template_equality(self, data):
+        a = data.draw(key_sequence_strategy(), label="a")
+        how = data.draw(st.sampled_from(("independent", "any", "bijective")))
+        if how == "independent":
+            b = data.draw(key_sequence_strategy(), label="b")
+        elif how == "any":
+            regs = data.draw(st.lists(_key_reg, min_size=len(_KEY_REGS),
+                                      max_size=len(_KEY_REGS)))
+            imms = data.draw(st.lists(_key_imm, min_size=len(_KEY_IMMS),
+                                      max_size=len(_KEY_IMMS)))
+            b = _renamed(a, regs, imms)
+        else:
+            # Registers and small immediates permuted among themselves:
+            # the renaming under which parameterized sites share an entry.
+            regs = data.draw(st.permutations(_KEY_REGS[:-1]))
+            imms = data.draw(st.permutations(_KEY_IMMS[:6]))
+            b = _renamed(a, regs + [ZERO_REG], imms + list(_KEY_IMMS[6:]))
+        for name, options in _KEY_OPTIONS:
+            # (key, template) of every eligible (sequence, strategy): the
+            # dictionary merges candidates across strategies too.
+            made = []
+            for seq in (a, b):
+                for strategy in STRATEGIES:
+                    template = make_template(seq, options, strategy)
+                    key = candidate_key(seq, options, strategy)
+                    assert (key is None) == (template is None), (name, seq)
+                    if template is not None:
+                        assert key[1] == template[1], (name, strategy, seq)
+                        made.append((key[0], template[0]))
+            for key_x, template_x in made:
+                for key_y, template_y in made:
+                    assert (key_x == key_y) == (template_x == template_y), (
+                        name, a, b)
 
 
 class TestMfiProperties:

@@ -27,12 +27,12 @@ from repro.errors import AcfError
 from repro.core.production import ProductionSet
 from repro.isa.assembler import Label
 from repro.isa.build import Imm, bis, fault, li, srl, xor
-from repro.isa.instruction import Instruction
+from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import dise_reg, parse_reg
 from repro.program.builder import LoadAddress, ProgramBuilder, SEGMENT_SHIFT
 from repro.program.image import ProgramImage
-from repro.program.rewriter import image_to_items
+from repro.program.rewriter import image_to_items, label_names
 
 #: Fault code raised by the MFI error handler.
 MFI_FAULT_CODE = 7
@@ -104,20 +104,34 @@ R2:
 
 
 def ensure_error_stub(image: ProgramImage) -> ProgramImage:
-    """Append the ``__mfi_error`` handler stub if the image lacks one."""
+    """Append the ``__mfi_error`` handler stub if the image lacks one.
+
+    The stub goes one past the last instruction, so nothing laid out
+    before it moves.  The result equals rebuilding the image with the stub
+    as its last item: same instructions, addresses and targets, and a
+    symbol table of the rewriting labels (:func:`label_names`) in index
+    order, then ``__mfi_error``.
+    """
     if ERROR_LABEL in image.symbols:
         return image
-    builder = ProgramBuilder(text_base=image.text_base,
-                             data_base=image.data_base)
-    builder.adopt_data(image.data_words, image.data_size)
-    builder.emit_items(image_to_items(image))
-    builder.label(ERROR_LABEL)
-    builder.emit(fault(MFI_FAULT_CODE))
-    entry_names = [n for n, i in image.symbols.items()
-                   if i == image.entry_index]
-    if entry_names:
-        builder.set_entry(entry_names[0])
-    return builder.build()
+    end = image.instruction_count
+    address = image.addresses[-1] + image.sizes[-1] if end else image.text_base
+    symbols = {name: index
+               for index, name in sorted(label_names(image).items())}
+    symbols[ERROR_LABEL] = end
+    return ProgramImage(
+        instructions=image.instructions + [fault(MFI_FAULT_CODE)],
+        addresses=image.addresses + [address],
+        sizes=image.sizes + [INSTRUCTION_BYTES],
+        target_index=image.target_index + [None],
+        symbols=symbols,
+        entry_index=image.entry_index,
+        text_base=image.text_base,
+        data_base=image.data_base,
+        data_words=dict(image.data_words),
+        data_size=image.data_size,
+        load_addresses=dict(image.load_addresses),
+    )
 
 
 def mfi_production_set(image: ProgramImage,
@@ -163,15 +177,28 @@ def attach_mfi(image: ProgramImage, variant="dise3") -> AcfInstallation:
 # Binary-rewriting baseline
 # ----------------------------------------------------------------------
 def _uses_scavenged(image: ProgramImage) -> bool:
-    scavenged = set(SCAVENGED_REGS)
+    scavenged = frozenset(SCAVENGED_REGS)
     for instr in image.instructions:
-        regs = set(instr.source_regs())
-        dest = instr.dest_reg()
-        if dest is not None:
-            regs.add(dest)
-        if regs & scavenged:
+        # source_regs() and dest_reg() read only ra, rb and rc, so an
+        # instruction naming no scavenged register there cannot use one.
+        if (instr.ra not in scavenged and instr.rb not in scavenged
+                and instr.rc not in scavenged):
+            continue
+        if instr.dest_reg() in scavenged or \
+                not scavenged.isdisjoint(instr.source_regs()):
             return True
     return False
+
+
+def _check_sequence(addr_reg: int, seg_reg: int, stub: str):
+    """The rewriter's four-instruction segment check of ``addr_reg``."""
+    t8, t9 = SCAVENGED_REGS[:2]
+    return (
+        bis(addr_reg, addr_reg, t8),   # defensive copy
+        srl(t8, Imm(SEGMENT_SHIFT), t9),
+        xor(t9, seg_reg, t9),
+        Instruction(Opcode.BNE, ra=t9, target=stub),
+    )
 
 
 #: Emit a local error stub at the first safe point after this many emitted
@@ -200,7 +227,7 @@ def rewrite_mfi(image: ProgramImage) -> AcfInstallation:
             f"({[r for r in SCAVENGED_REGS]}); recompile reserving them"
         )
     data_seg, code_seg = segment_ids(image)
-    t8, t9, t10, t11 = SCAVENGED_REGS
+    t10, t11 = SCAVENGED_REGS[2:]
     unsafe = (OpClass.LOAD, OpClass.STORE, OpClass.INDIRECT_JUMP)
 
     builder = ProgramBuilder(text_base=image.text_base,
@@ -216,6 +243,9 @@ def rewrite_mfi(image: ProgramImage) -> AcfInstallation:
     stub_counter = 0
     since_stub = 0
     stub_pending = False
+    # Check sequences by (address register, segment register), built once
+    # per stub label; layout copies the shared branch at each use.
+    checks = {}
 
     def stub_label() -> str:
         return f"{ERROR_LABEL}_{stub_counter}"
@@ -239,11 +269,12 @@ def rewrite_mfi(image: ProgramImage) -> AcfInstallation:
         instr = item
         if instr.opclass in unsafe:
             seg_reg = t11 if instr.opclass is OpClass.INDIRECT_JUMP else t10
-            addr_reg = instr.rs
-            emit(bis(addr_reg, addr_reg, t8))   # defensive copy
-            emit(srl(t8, Imm(SEGMENT_SHIFT), t9))
-            emit(xor(t9, seg_reg, t9))
-            emit(Instruction(Opcode.BNE, ra=t9, target=stub_label()))
+            check = checks.get((instr.rs, seg_reg))
+            if check is None:
+                check = _check_sequence(instr.rs, seg_reg, stub_label())
+                checks[(instr.rs, seg_reg)] = check
+            builder.emit_many(check)
+            since_stub += len(check)
             stub_pending = True
         emit(instr)
         if since_stub >= STUB_INTERVAL and instr.opcode in _BARRIERS:
@@ -252,6 +283,7 @@ def rewrite_mfi(image: ProgramImage) -> AcfInstallation:
             stub_counter += 1
             since_stub = 0
             stub_pending = False
+            checks.clear()
 
     if stub_pending or stub_counter == 0:
         builder.label(stub_label())

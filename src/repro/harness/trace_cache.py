@@ -170,6 +170,11 @@ def trace_key(image: ProgramImage,
     arbitrary Python code.  Installations whose callbacks do more than seed
     state (e.g. register ``ctrl`` handlers) must not be cached;
     :func:`machine_trace_key` checks that.
+
+    Memory equal to the image's initial data is already covered by the
+    image fingerprint, so only memory that differs is hashed.  Its part is
+    a list repr starting with ``[``, which the DISE config repr after it
+    never does, so the hashed bytes still parse back to one set of inputs.
     """
     h = hashlib.sha256()
     h.update(f"schema={SCHEMA_VERSION}".encode())
@@ -177,7 +182,8 @@ def trace_key(image: ProgramImage,
     for pset in production_sets:
         h.update(production_set_fingerprint(pset).encode())
     h.update(repr(tuple(init_regs)).encode())
-    h.update(repr(sorted(init_memory.items())).encode())
+    if init_memory != image.data_words:
+        h.update(repr(sorted(init_memory.items())).encode())
     h.update(dise_config_repr.encode())
     h.update(f"max_steps={max_steps}".encode())
     return h.hexdigest()

@@ -25,7 +25,7 @@ and ``T.RD`` refer to (Section 2.1 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.isa.opcodes import Format, OpClass, Opcode
@@ -183,8 +183,15 @@ class Instruction:
     # Construction helpers
     # ------------------------------------------------------------------
     def with_fields(self, **changes) -> "Instruction":
-        """Return a copy of this instruction with the given fields replaced."""
-        return replace(self, **changes)
+        """Return a copy of this instruction with the given fields replaced.
+
+        Calls the constructor directly: ``dataclasses.replace`` costs
+        several times as much, and rewriting tools copy every branch.
+        """
+        fields = {"opcode": self.opcode, "ra": self.ra, "rb": self.rb,
+                  "rc": self.rc, "imm": self.imm, "target": self.target}
+        fields.update(changes)
+        return Instruction(**fields)
 
     # ------------------------------------------------------------------
     # Rendering

@@ -133,7 +133,10 @@ class ProgramBuilder:
         pending_loads: List[int] = []
 
         for item in self.items:
-            if isinstance(item, Label):
+            # Instructions outnumber labels and pseudo-ops: test them first.
+            if type(item) is Instruction:
+                instructions.append(item)
+            elif isinstance(item, Label):
                 if item.name in label_index:
                     raise BuildError(f"label redefined: {item.name}")
                 label_index[item.name] = len(instructions)
@@ -146,8 +149,6 @@ class ProgramBuilder:
                 instructions.append(
                     Instruction(Opcode.LDA, ra=item.reg, rb=item.reg, imm=0, target=item.symbol)
                 )
-            elif isinstance(item, Instruction):
-                instructions.append(item)
             else:
                 raise BuildError(f"unknown builder item: {item!r}")
 

@@ -15,7 +15,7 @@ measures.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Union
+from typing import Callable, Dict, Iterable, List, Union
 
 from repro.core.directives import AbsTarget, Lit, TrigField
 from repro.errors import RewriteError
@@ -30,20 +30,29 @@ from repro.program.image import ProgramImage
 InsertionFn = Callable[[Instruction, int], Iterable[Union[Label, Instruction]]]
 
 
+def label_names(image: ProgramImage) -> Dict[int, str]:
+    """The label a rewrite places at each labelled instruction index.
+
+    That is the first symbol at the index, or ``.bt<index>`` for an
+    anonymous direct-branch target.  Rebuilding an image from symbolic
+    items keeps exactly these labels as its symbol table.
+    """
+    names = {}
+    for name, index in image.symbols.items():
+        names.setdefault(index, name)
+    for target in image.target_index:
+        if target is not None and target not in names:
+            names[target] = f".bt{target}"
+    return names
+
+
 def image_to_items(image: ProgramImage) -> List[BuilderItem]:
     """Convert an image back to symbolic builder items.
 
     Every direct-branch target becomes a label; existing symbols are
     preserved.  The result rebuilds to an equivalent image.
     """
-    names = {}
-    for name, index in image.symbols.items():
-        names.setdefault(index, name)
-    # Synthesise labels for anonymous branch targets.
-    for index, target in enumerate(image.target_index):
-        if target is not None and target not in names:
-            names[target] = f".bt{target}"
-
+    names = label_names(image)
     items: List[BuilderItem] = []
     skip_next = False
     for index, instr in enumerate(image.instructions):
@@ -170,12 +179,7 @@ def rewrite_with_productions(image: ProgramImage, production_set,
     engine = DiseEngine()
     engine.set_production_set(production_set)
 
-    names = {}
-    for name, index in image.symbols.items():
-        names.setdefault(index, name)
-    for index, target in enumerate(image.target_index):
-        if target is not None and target not in names:
-            names[target] = f".bt{target}"
+    names = label_names(image)
 
     # Pass 1: decide expansions and register labels for AbsTarget
     # addresses, so forward references resolve during emission.

@@ -1,7 +1,11 @@
 """Tests for memory fault isolation (all three implementations)."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.acf.compression import DISE_OPTIONS, compress_image
 from repro.acf.mfi import (
     DR_CODE_SEG,
     DR_DATA_SEG,
@@ -17,10 +21,12 @@ from repro.acf.mfi import (
     segment_ids,
 )
 from repro.isa.build import Imm, bis, halt, ldq, out, sll, stq, jsr, ret
-from repro.isa.opcodes import OpClass
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import parse_reg
 from repro.program.builder import ProgramBuilder
 from repro.sim.functional import run_program
+from repro.workloads.generator import generate_by_name
 
 from conftest import A0, A1, RA, T0, ZERO, build_loop_program
 
@@ -147,6 +153,26 @@ class TestRewritingMfi:
         with pytest.raises(MfiError):
             rewrite_mfi(b.build())
 
+    @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.name)
+    def test_scavenged_check_follows_dataflow(self, opcode):
+        # The rewriter rejects a program exactly when a scavenged register
+        # is read or written, not whenever one sits in a register field:
+        # e.g. ``fault`` ignores ra, and a load never reads rc.
+        for reg in SCAVENGED_REGS:
+            for field in ("ra", "rb", "rc"):
+                fields = {"ra": A0, "rb": A1, "rc": T0, field: reg}
+                instr = Instruction(opcode, **fields)
+                b = ProgramBuilder()
+                b.label("main")
+                b.emit(instr)
+                b.emit(halt())
+                image = b.build()
+                if reg in instr.source_regs() or instr.dest_reg() == reg:
+                    with pytest.raises(MfiError):
+                        rewrite_mfi(image)
+                else:
+                    rewrite_mfi(image)
+
     def test_rewritten_executes_more_instructions_than_dise3(self):
         image = build_loop_program(iterations=20)
         dise3 = attach_mfi(image, "dise3").run()
@@ -160,3 +186,69 @@ class TestRewritingMfi:
         # Only the appended stub distinguishes the DISE image.
         assert installation.image.instructions[:image.instruction_count] \
             == image.instructions
+
+
+def mfi_image_digest(image):
+    """sha256 over every field of a laid-out image."""
+    payload = {
+        "instructions": [[i.opcode.name, i.ra, i.rb, i.rc, i.imm, i.target]
+                         for i in image.instructions],
+        "addresses": image.addresses,
+        "sizes": image.sizes,
+        "target_index": image.target_index,
+        "symbols": list(image.symbols.items()),
+        "entry_index": image.entry_index,
+        "text_base": image.text_base,
+        "data_base": image.data_base,
+        "data_words": sorted(image.data_words.items()),
+        "data_size": image.data_size,
+        "load_addresses": sorted(image.load_addresses.items()),
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def _pinned_transform(image, kind):
+    if kind == "stub":
+        return ensure_error_stub(image)
+    if kind == "rewrite":
+        return rewrite_mfi(image).image
+    # The DISE-compressed image compose_dise_dise gives its error stub.
+    return ensure_error_stub(compress_image(image, DISE_OPTIONS).image)
+
+
+#: sha256 of the stubbed image, the binary-rewritten image and the stubbed
+#: DISE-compressed image on three committed profiles at scale 0.05, over
+#: every image field (symbols in insertion order).  Installing MFI may only
+#: get faster: these bytes must not move.
+PINNED_MFI_IMAGES = {
+    ("mcf", "stub"):
+        "5ad1866e769259f763fbccec6b1c744d7f1faf5884d9defe08f69f9a141e7af2",
+    ("mcf", "rewrite"):
+        "7b36c145de51e06eb681f036fa0013e2a4d9fd02849437bcee4f92a0971d7775",
+    ("mcf", "compressed-stub"):
+        "d2209df5efeb1e2ee02f1ed9ae4ac134be99bb3b309c62096966331057319dcc",
+    ("gzip", "stub"):
+        "c7b17f2f29d573db47f080ec6ad11e57d7d0b54874a39e81a03afdf2b507b65d",
+    ("gzip", "rewrite"):
+        "aebb045e36dd8241254b99d09f7aba048a912260fdd8a0ea87cf997ad1334f81",
+    ("gzip", "compressed-stub"):
+        "331875cbba9bf286cc148aa5f11f8c83d23253eb8ac0eff8f4cf9fa6b0ba2ca5",
+    ("bzip2", "stub"):
+        "6759d4e304c19675cac79a1632b1fc6145bf23733f4d6462f80b1af5f11dd793",
+    ("bzip2", "rewrite"):
+        "3bd225b74ee9bb66e84f865f75f4dd05f4d469d2af00c096ab87fa0d773d65dd",
+    ("bzip2", "compressed-stub"):
+        "0bc7cd9d68c57853971a452c851434b810a7ec433664b8c0abd32000cdbde944",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_images():
+    return {bench: generate_by_name(bench, scale=0.05)
+            for bench in ("mcf", "gzip", "bzip2")}
+
+
+@pytest.mark.parametrize("bench,kind", list(PINNED_MFI_IMAGES))
+def test_mfi_image_pinned(pinned_images, bench, kind):
+    image = _pinned_transform(pinned_images[bench], kind)
+    assert mfi_image_digest(image) == PINNED_MFI_IMAGES[(bench, kind)]

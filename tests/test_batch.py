@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.acf.base import AcfInstallation
-from repro.acf.mfi import attach_mfi, ensure_error_stub
+from repro.acf.mfi import attach_mfi
 from repro.errors import ExecutionTimeout
 from repro.faults.campaign import (
     CampaignConfig,
@@ -35,7 +35,6 @@ MAX_STEPS = 5_000_000
 
 def _installation(name, scale=SCALE):
     image = generate_benchmark(get_profile(name), scale=scale)
-    ensure_error_stub(image)
     return attach_mfi(image, "dise3")
 
 

@@ -135,10 +135,10 @@ class TestJsonOutput:
         doc = json.loads(capsys.readouterr().out)
         assert doc["checkpoint"] == {"path": missing, "readable": False}
 
-    def test_cache_stats_json(self, capsys):
+    def test_cache_stats_json(self, capsys, monkeypatch, tmp_path):
         import json
 
-        # conftest points REPRO_TRACE_CACHE at a temp dir, so it's on.
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
         assert main(["cache", "stats", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["enabled"] is True

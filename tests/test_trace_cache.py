@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.acf.base import plain_installation
+from repro.acf.base import AcfInstallation, plain_installation
 from repro.acf.mfi import attach_mfi
 from repro.core.config import DiseConfig
 from repro.harness.trace_cache import (
@@ -126,6 +126,22 @@ class TestKeys:
         other_steps = machine_trace_key(installation, machine,
                                         repr(FUNCTIONAL), MAX_STEPS + 1)
         assert len({base, other_cfg, other_steps}) == 3
+
+    def test_key_covers_memory_the_init_callback_wrote(self, image):
+        # Memory equal to the image's data is hashed through the image
+        # fingerprint; memory the callback changed must still move the key.
+        addr, value = min(image.data_words.items())
+
+        def key(init):
+            inst = AcfInstallation(image=image, init_machine=init)
+            return machine_trace_key(inst, inst.make_machine(FUNCTIONAL),
+                                     repr(FUNCTIONAL), MAX_STEPS)
+
+        untouched = key(lambda machine: None)
+        assert key(lambda machine: machine.mem.write(addr, value + 1)) \
+            != untouched
+        assert key(lambda machine: machine.mem.write(addr, value)) \
+            == untouched
 
     def test_ctrl_handlers_are_uncacheable(self, installation):
         machine = installation.make_machine(FUNCTIONAL)

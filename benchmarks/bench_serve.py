@@ -15,9 +15,10 @@ through an LRU machine pool — and measures what the serving layer is for:
 * **digest match** — every served digest is checked against
   :func:`repro.serve.session.batch_digest`, the byte-for-byte oracle.
 
-Telemetry must stay *off* here: ``REPRO_TELEMETRY=1`` disables the
-translated dispatch tier (digests are unchanged but nothing binds warm),
-which would make the warm-rate gate meaningless.
+Telemetry leaves the translated dispatch tier on, so under
+``REPRO_TELEMETRY=1`` sessions still bind warm and the warm-rate gate
+still applies; counting slows every run, though, so compare throughput
+and latency only between runs with the same setting.
 
 Writes ``benchmarks/BENCH_serve.json`` next to this file.  Run
 standalone::

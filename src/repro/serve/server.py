@@ -331,8 +331,10 @@ class ServerCore:
         state = request.get("checkpoint")
         if not isinstance(state, dict):
             raise ProtocolError("restore needs a 'checkpoint' object")
-        self.pool.drop(session)
+        # restore_state validates the checkpoint before it changes the
+        # session; only then release the lease on the old machine.
         session.restore_state(state)
+        self.pool.drop(session)
         return session.state(status="restored")
 
     def _op_fork(self, tenant, request):

@@ -59,11 +59,31 @@ def checkpoint_to_json(state: dict) -> dict:
     return out
 
 
+#: The :meth:`Machine.checkpoint` fields a parked session reads back.
+_CHECKPOINT_FIELDS = ("regs", "mem", "idx", "disepc", "halted",
+                      "fault_code", "outputs", "counters")
+
+
 def checkpoint_from_json(obj: dict) -> dict:
     """Inverse of :func:`checkpoint_to_json`."""
+    missing = [field for field in _CHECKPOINT_FIELDS if field not in obj]
+    if missing:
+        raise ProtocolError(
+            f"machine checkpoint lacks {', '.join(missing)}")
     state = dict(obj)
     state["mem"] = {int(addr): value for addr, value in obj["mem"]}
     return state
+
+
+def _observer_from_state(projection: str, state) -> ChainedObserver:
+    """The :class:`ChainedObserver` continuing a saved digest chain;
+    :class:`ProtocolError` when the saved state is malformed."""
+    if not isinstance(state, dict):
+        raise ProtocolError("observer state must be an object")
+    try:
+        return ChainedObserver(projection, state=state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed observer state: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -383,9 +403,13 @@ class Session:
 
     def restore_state(self, state: dict):
         """Rewind this session to a checkpoint taken from it (or a fork
-        source with an identical spec)."""
+        source with an identical spec).
+
+        The whole checkpoint is validated before anything changes, so a
+        rejected restore leaves the session as it was."""
         spec = state.get("spec")
-        if spec is not None and _validate_spec(spec) != self.spec:
+        if spec is not None and (not isinstance(spec, dict)
+                                 or _validate_spec(spec) != self.spec):
             raise ProtocolError(
                 "checkpoint spec does not match this session's spec"
             )
@@ -394,8 +418,8 @@ class Session:
             observer_state = state["observer"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed session checkpoint: {exc}")
-        self.observer = ChainedObserver(self.spec["projection"],
-                                        state=observer_state)
+        self.observer = _observer_from_state(self.spec["projection"],
+                                             observer_state)
         # Drop any live machine: it holds the old observer. The next
         # lease rebuilds against the restored chain — warm, via the
         # shared translation store.
@@ -439,8 +463,8 @@ class Session:
     def from_state(cls, state: dict, catalog: ImageCatalog) -> "Session":
         session = cls(state["session"], state["tenant"], state["spec"],
                       catalog)
-        session.observer = ChainedObserver(
-            session.spec["projection"], state=state["observer"])
+        session.observer = _observer_from_state(session.spec["projection"],
+                                                state["observer"])
         if state.get("machine") is not None:
             session.parked = checkpoint_from_json(state["machine"])
         session.add_event("resumed_from_shutdown",

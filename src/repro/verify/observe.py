@@ -43,6 +43,18 @@ Different oracles need different notions of "the same execution":
 The digest format is ``sha256(repr(obs))`` folded in retirement order;
 ``Observer.hexdigest()`` returns the running hex digest and
 ``Observer.count`` the number of folded observations.
+
+Encoding
+--------
+:func:`observation` is the reference definition of ``obs``.  The
+observers never build it: a per-opcode table, built once at import,
+holds each opcode's name bytes and the one effect it can have, and one
+encoder per projection formats only the retirement's dynamic values
+(destination register and value, store address and value, or the last
+output) into exactly the bytes ``repr(obs).encode("ascii")``.  The
+values are always ``int``, for which ``%d`` is ``repr``.
+:class:`CapturingObserver` keeps the tuple for its records, so it folds
+``repr(observation(...))``; the tests hold every encoder to it.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import NUM_USER_REGS
 from repro.sim.memory import MASK64
@@ -84,6 +97,109 @@ def _effects(machine, instr, user_only: bool) -> List[tuple]:
     return effects
 
 
+def observation(machine, instr, pc: int, disepc: int, is_trigger: bool,
+                projection: str) -> Optional[tuple]:
+    """The observation one retirement contributes under ``projection``,
+    or ``None`` when the projection skips it (the reference definition
+    the observers' encoders reproduce byte for byte)."""
+    if projection == "full":
+        return (pc, disepc, instr.opcode.name,
+                tuple(_effects(machine, instr, False)))
+    if projection == "app":
+        if not is_trigger:
+            return None
+        return (pc, instr.opcode.name, tuple(_effects(machine, instr, True)))
+    if projection == "user":
+        effects = _effects(machine, instr, True)
+        return tuple(effects) if effects else None
+    op = instr.opcode
+    return (op.name, instr.dest_reg(), op.is_store,
+            machine.outputs[-1] if op is Opcode.OUT else None)
+
+
+# ----------------------------------------------------------------------
+# Encoders: the bytes of repr(observation(...)), written directly
+# ----------------------------------------------------------------------
+#: The one effect an opcode can have: a destination register in ``ra``
+#: or ``rc``, a store (STL's value masked to 32 bits), or an output.
+_NO_EFFECT, _DEST_RA, _DEST_RC, _STORE, _STORE32, _OUT = range(6)
+
+
+def _effect_kind(op: Opcode) -> int:
+    # A probe with distinct register fields shows which one dest_reg()
+    # names, so the destination rule stays written only there.
+    dest = Instruction(op, ra=1, rb=2, rc=3).dest_reg()
+    if dest is not None:
+        return {1: _DEST_RA, 3: _DEST_RC}[dest]
+    if op.is_store:
+        return _STORE32 if op is Opcode.STL else _STORE
+    return _OUT if op is Opcode.OUT else _NO_EFFECT
+
+
+#: ``opcode -> (name bytes, effect kind)``.
+_OPCODES = {op: (op.name.encode("ascii"), _effect_kind(op)) for op in Opcode}
+
+
+def _effect(machine, instr, kind: int, user_only: bool) -> bytes:
+    """``repr(effect) + b","`` for the retirement's effect, else ``b""``:
+    wrapped in parentheses it is the repr of the effects tuple."""
+    if kind == _DEST_RA or kind == _DEST_RC:
+        dest = instr.ra if kind == _DEST_RA else instr.rc
+        if dest is None or dest == _ZERO or \
+                (user_only and dest >= NUM_USER_REGS):
+            return b""
+        return b"('r', %d, %d)," % (dest, machine.regs[dest])
+    if kind == _NO_EFFECT:
+        return b""
+    if kind == _OUT:
+        return b"('o', %d)," % machine.outputs[-1]
+    regs = machine.regs
+    rb, ra = instr.rb, instr.ra
+    addr = ((0 if rb == _ZERO else regs[rb]) + instr.imm) & MASK64
+    value = 0 if ra == _ZERO else regs[ra]
+    if kind == _STORE32:
+        value &= 0xFFFFFFFF
+    return b"('m', %d, %d)," % (addr, value)
+
+
+def _encode_full(machine, instr, pc, disepc, is_trigger):
+    name, kind = _OPCODES[instr.opcode]
+    return b"(%d, %d, '%s', (%s))" % (
+        pc, disepc, name, _effect(machine, instr, kind, False))
+
+
+def _encode_app(machine, instr, pc, disepc, is_trigger):
+    if is_trigger:
+        name, kind = _OPCODES[instr.opcode]
+        return b"(%d, '%s', (%s))" % (
+            pc, name, _effect(machine, instr, kind, True))
+    return None
+
+
+def _encode_user(machine, instr, pc, disepc, is_trigger):
+    effect = _effect(machine, instr, _OPCODES[instr.opcode][1], True)
+    return b"(%s)" % effect if effect else None
+
+
+def _encode_retire(machine, instr, pc, disepc, is_trigger):
+    name, kind = _OPCODES[instr.opcode]
+    if kind == _DEST_RA or kind == _DEST_RC:
+        dest = instr.ra if kind == _DEST_RA else instr.rc
+        if dest is not None and dest != _ZERO:
+            return b"('%s', %d, False, None)" % (name, dest)
+    elif kind == _OUT:
+        return b"('%s', None, False, %d)" % (name, machine.outputs[-1])
+    elif kind == _STORE or kind == _STORE32:
+        return b"('%s', None, True, None)" % name
+    return b"('%s', None, False, None)" % name
+
+
+#: ``projection -> encoder(machine, instr, pc, disepc, is_trigger)``,
+#: returning ``repr(observation(...)).encode("ascii")`` or ``None``.
+_ENCODERS = {"full": _encode_full, "app": _encode_app,
+             "user": _encode_user, "retire": _encode_retire}
+
+
 class Observer:
     """Folds one observation per retired instruction into a rolling sha256.
 
@@ -91,43 +207,31 @@ class Observer:
     :meth:`observe` after every retirement.
     """
 
-    __slots__ = ("projection", "count", "_h")
+    __slots__ = ("projection", "count", "_encode", "_h")
 
     def __init__(self, projection: str = "full"):
+        self._start(projection)
+        self._h = hashlib.sha256()
+
+    def _start(self, projection: str):
         if projection not in PROJECTIONS:
             raise ValueError(
                 f"unknown projection {projection!r}; expected one of "
                 f"{PROJECTIONS}"
             )
         self.projection = projection
+        self._encode = _ENCODERS[projection]
         #: Number of observations folded so far (post-projection).
         self.count = 0
-        self._h = hashlib.sha256()
 
     # The machine invokes this after executing each dynamic instruction.
     def observe(self, machine, instr, pc: int, disepc: int, is_trigger: bool):
-        projection = self.projection
-        if projection == "full":
-            obs = (pc, disepc, instr.opcode.name,
-                   tuple(_effects(machine, instr, False)))
-        elif projection == "app":
-            if not is_trigger:
-                return
-            obs = (pc, instr.opcode.name,
-                   tuple(_effects(machine, instr, True)))
-        elif projection == "user":
-            effects = _effects(machine, instr, True)
-            if not effects:
-                return
-            obs = tuple(effects)
-        else:  # retire
-            op = instr.opcode
-            obs = (op.name, instr.dest_reg(), op.is_store,
-                   machine.outputs[-1] if op is Opcode.OUT else None)
-        self._emit(obs, machine, instr, pc, disepc)
+        data = self._encode(machine, instr, pc, disepc, is_trigger)
+        if data is not None:
+            self._fold(data)
 
-    def _emit(self, obs, machine, instr, pc, disepc):
-        self._h.update(repr(obs).encode("ascii"))
+    def _fold(self, data: bytes):
+        self._h.update(data)
         self.count += 1
 
     def hexdigest(self) -> str:
@@ -158,7 +262,8 @@ class ChainedObserver(Observer):
 
     def __init__(self, projection: str = "full",
                  state: Optional[dict] = None):
-        super().__init__(projection)
+        # No streaming hash: the chain value is the whole digest state.
+        self._start(projection)
         self._digest = self.SEED
         if state is not None:
             if state.get("projection", projection) != self.projection:
@@ -171,10 +276,8 @@ class ChainedObserver(Observer):
             if len(self._digest) != 32:
                 raise ValueError("observer digest state must be 32 bytes")
 
-    def _emit(self, obs, machine, instr, pc, disepc):
-        self._digest = hashlib.sha256(
-            self._digest + repr(obs).encode("ascii")
-        ).digest()
+    def _fold(self, data: bytes):
+        self._digest = hashlib.sha256(self._digest + data).digest()
         self.count += 1
 
     def hexdigest(self) -> str:
@@ -205,8 +308,8 @@ class WindowedObserver(Observer):
         #: Hex digest of the stream after each full window.
         self.window_digests: List[str] = []
 
-    def _emit(self, obs, machine, instr, pc, disepc):
-        super()._emit(obs, machine, instr, pc, disepc)
+    def _fold(self, data: bytes):
+        super()._fold(data)
         if self.count % self.window == 0:
             self.window_digests.append(self._h.hexdigest())
 
@@ -252,9 +355,14 @@ class CapturingObserver(Observer):
         self.hi = hi
         self.records: List[ObservationRecord] = []
 
-    def _emit(self, obs, machine, instr, pc, disepc):
+    def observe(self, machine, instr, pc: int, disepc: int, is_trigger: bool):
+        # Records need the tuple itself, so build it with the reference.
+        obs = observation(machine, instr, pc, disepc, is_trigger,
+                          self.projection)
+        if obs is None:
+            return
         index = self.count
-        super()._emit(obs, machine, instr, pc, disepc)
+        self._fold(repr(obs).encode("ascii"))
         if index >= self.lo and (self.hi is None or index < self.hi):
             self.records.append(ObservationRecord(
                 index=index, pc=pc, disepc=disepc, opcode=instr.opcode.name,

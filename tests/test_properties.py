@@ -6,6 +6,8 @@ transparency and soundness, the engine's peephole/no-recursion property,
 and precise-state determinism.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,9 +42,13 @@ from repro.isa.build import (
     subq,
     xor,
 )
-from repro.isa.registers import ZERO_REG
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import NUM_REGS, ZERO_REG
 from repro.program.builder import ProgramBuilder
 from repro.sim.functional import Machine, run_program
+from repro.sim.memory import MASK64
+from repro.verify.observe import PROJECTIONS, Observer, observation
 
 from conftest import A0, A1, T0, ZERO
 
@@ -364,3 +370,44 @@ class TestFastDispatchEquivalence:
         blocks, iterations = params
         image = build_program(blocks, iterations)
         self._run_both(compress_image(image, DISE_OPTIONS).installation())
+
+
+# A register field: absent, the zero register, a user register or a DISE
+# dedicated register.
+_field = st.one_of(st.none(), st.just(ZERO_REG), st.integers(0, 30),
+                   st.integers(32, NUM_REGS - 1))
+
+
+class TestObservationEncoding:
+    """Each projection's encoder writes exactly the bytes of the reference
+    ``repr(observation(...))``, and skips exactly when it returns None."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ra=_field, rb=_field, rc=_field,
+        imm=st.one_of(st.none(), st.integers(-2**63, 2**64)),
+        regs=st.lists(st.integers(0, MASK64), min_size=NUM_REGS,
+                      max_size=NUM_REGS),
+        outputs=st.lists(st.integers(0, MASK64), min_size=1, max_size=3),
+        pc=st.integers(), disepc=st.integers(), is_trigger=st.booleans(),
+    )
+    def test_encoders_match_reference(self, ra, rb, rc, imm, regs, outputs,
+                                      pc, disepc, is_trigger):
+        machine = SimpleNamespace(regs=regs, outputs=outputs)
+        for opcode in Opcode:
+            if opcode.is_store and None in (ra, rb, imm):
+                continue  # a store always names both registers and an offset
+            instr = Instruction(opcode, ra=ra, rb=rb, rc=rc, imm=imm)
+            for projection in PROJECTIONS:
+                expected = observation(machine, instr, pc, disepc,
+                                       is_trigger, projection)
+                observer = Observer(projection)
+                encoded = observer._encode(machine, instr, pc, disepc,
+                                           is_trigger)
+                if expected is None:
+                    assert encoded is None, (instr, projection)
+                else:
+                    assert encoded == repr(expected).encode("ascii"), (
+                        instr, projection)
+                observer.observe(machine, instr, pc, disepc, is_trigger)
+                assert observer.count == (expected is not None)

@@ -169,7 +169,7 @@ class TestChainedObserver:
                                           "digest": "11" * 32})
         twin = observer.clone()
         assert twin.hexdigest() == observer.hexdigest()
-        twin._emit("obs", None, None, None, None)
+        twin._fold(b"obs")
         assert twin.count == 6 and observer.count == 5
         assert twin.hexdigest() != observer.hexdigest()
 
@@ -422,6 +422,30 @@ class TestCheckpointRestoreFork:
         with pytest.raises(ProtocolError):
             client.restore(sid, {"machine": "nope"})
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda saved: saved["observer"].update(digest="zz" * 32),
+        lambda saved: saved["observer"].update(digest="11" * 31),
+        lambda saved: saved["observer"].update(projection="app"),
+        lambda saved: saved.update(spec=dict(SPEC, acf="plain")),
+        lambda saved: saved.update(spec=7),
+        lambda saved: saved.pop("machine"),
+        lambda saved: saved["machine"].pop("regs"),
+        lambda saved: saved.update(observer=None),
+    ], ids=["bad-hex-digest", "31-byte-digest", "projection-mismatch",
+            "spec-mismatch", "spec-not-object", "no-machine",
+            "machine-without-regs", "no-observer-state"])
+    def test_rejected_restore_leaves_session_intact(self, corrupt):
+        client = InProcessClient(make_core(), tenant="t0")
+        sid = client.open_session(dict(SPEC))
+        client.step(sid, steps=2000)
+        saved = client.checkpoint(sid)
+        corrupt(saved)
+        with pytest.raises(ProtocolError):
+            client.restore(sid, saved)
+        result = client.run(sid)
+        assert result["digest"] == PINNED_DIGEST
+        assert result["observations"] == PINNED_OBSERVATIONS
+
 
 # ----------------------------------------------------------------------
 # Budgets (satellite): precise retirement counts, injectable wall clock
@@ -587,6 +611,18 @@ class TestShutdownResume:
         # The meter continued from 6000: exactly 4000 more retire.
         assert info.value.used == info.value.limit == 10_000
         assert client2.state(sid)["instructions"] == 10_000
+
+    def test_malformed_observer_state_rejected(self, tmp_path):
+        core = make_core(state_dir=tmp_path, admin_token="op-secret")
+        client = InProcessClient(core, tenant="t0")
+        client.step(client.open_session(dict(SPEC)), steps=100)
+        client.shutdown("op-secret")
+        path = tmp_path / "sessions.json"
+        doc = json.loads(path.read_text())
+        doc["sessions"][0]["observer"]["digest"] = "11" * 31
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProtocolError):
+            make_core(state_dir=tmp_path)
 
     def test_unsupported_state_schema_rejected(self, tmp_path):
         (tmp_path / "sessions.json").write_text(

@@ -1,10 +1,12 @@
 """Tests for the differential conformance engine (:mod:`repro.verify`)."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.acf.base import plain_installation
+from repro.acf.mfi import attach_mfi
 from repro.core.language import parse_productions
 from repro.errors import CheckpointError, DivergenceError
 from repro.isa.build import Imm, addq, bis, halt, out, stq, subq, bne, ldq
@@ -22,10 +24,12 @@ from repro.verify import (
 from repro.verify.campaign import all_passed, load_report, save_report
 from repro.verify.observe import (
     CapturingObserver,
+    ChainedObserver,
     WindowedObserver,
     snapshot_digest,
     snapshot_state,
 )
+from repro.workloads import generate_by_name
 
 from conftest import A0, A1, T0, ZERO, build_loop_program
 
@@ -108,6 +112,82 @@ class TestObserver:
         full = snapshot_state(traces[0], scope="full")
         user = snapshot_state(traces[0], scope="user")
         assert len(user["regs"]) == 32 < len(full["regs"])
+
+
+def observation_streams_digest(installation, projection):
+    """sha256 over everything each observer reports for one run."""
+    def run(observer):
+        installation.run(record_trace=False, observer=observer)
+        return observer
+
+    plain = run(Observer(projection))
+    captured = run(CapturingObserver(projection, lo=100, hi=110))
+    payload = {
+        "observer": [plain.hexdigest(), plain.count],
+        "chained": run(ChainedObserver(projection)).hexdigest(),
+        "windows": run(WindowedObserver(projection,
+                                        window=256)).window_digests,
+        "captured": [record.to_dict() for record in captured.records],
+    }
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+#: sha256 of :func:`observation_streams_digest` on two committed profiles
+#: at scale 0.05, plain and under DISE MFI, per projection.  Encoding
+#: observations may only get faster: these bytes must not move.
+PINNED_OBSERVATION_STREAMS = {
+    ("gzip", "plain", "full"):
+        "14eee4c19b55d21dc03cdc0c8fcb187530951f67a270cc9eaa49973846a5058a",
+    ("gzip", "plain", "app"):
+        "8ded858031e8e533f494c1d03aff4d60bd36584f1550213e56c1dc8a8d7cf77c",
+    ("gzip", "plain", "user"):
+        "4d1ff9f967b8aeb8a94e77437c7fc55c4c0769afabfef9af6cbd5321a7f70709",
+    ("gzip", "plain", "retire"):
+        "488de3d708f29b963ce5ee5323dac26c888b1c2491cccbb9d058be03f7d2e2d4",
+    ("gzip", "dise3", "full"):
+        "1f3efaece235819ecdf16146a27c0dfa2af5f84b6bbeeec528a5285e591180f1",
+    ("gzip", "dise3", "app"):
+        "3e6476874003d55d7dbc5b07df6831954f2d2857d537580b60b55bc7c94b3588",
+    ("gzip", "dise3", "user"):
+        "bfb2466f594dcbfda7bc30e25219888e9d1fce21964a5d662575f94d32f10f69",
+    ("gzip", "dise3", "retire"):
+        "5d75648bc26720398cbf908ac5050b3a5919110e98f125af302744e684ef8b55",
+    ("mcf", "plain", "full"):
+        "87d19c2901d7c4d851e90efb75bf722f24cc7ea77b1857fa49f4a86362878513",
+    ("mcf", "plain", "app"):
+        "51dfa36a24aac82f357b34ca8decc50a4f83499d267c80abe5c93a0d5a360501",
+    ("mcf", "plain", "user"):
+        "2588b1d3e1dfb8512c0256cc14b2b959d03ab205256c73bde4a9e89833c35b93",
+    ("mcf", "plain", "retire"):
+        "de4f0c261597183a2cd2551e2d5c5cf402067ac4b230813a7ca057192e6a21eb",
+    ("mcf", "dise3", "full"):
+        "02369e5827b4eb1895e66387fefe44fccaf3b4aa686fe6d10f2105c315cb8672",
+    ("mcf", "dise3", "app"):
+        "53999d1213466df0a833f758ea7adeb8291d7972b9e494b723b40ede0a297556",
+    ("mcf", "dise3", "user"):
+        "797c7980c4677e3e68b242b1d558247bf14f4a59c58da7239e0ac70778012609",
+    ("mcf", "dise3", "retire"):
+        "35fef912200bdad5f9d10d014694596ce422b5097e386b40e101f7e8f1297fb2",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_installations():
+    installations = {}
+    for bench in ("gzip", "mcf"):
+        image = generate_by_name(bench, scale=0.05)
+        installations[bench, "plain"] = plain_installation(image)
+        installations[bench, "dise3"] = attach_mfi(image, "dise3")
+    return installations
+
+
+@pytest.mark.parametrize("bench,acf,projection",
+                         list(PINNED_OBSERVATION_STREAMS))
+def test_observation_streams_pinned(pinned_installations, bench, acf,
+                                    projection):
+    installation = pinned_installations[bench, acf]
+    assert observation_streams_digest(installation, projection) \
+        == PINNED_OBSERVATION_STREAMS[(bench, acf, projection)]
 
 
 # ----------------------------------------------------------------------

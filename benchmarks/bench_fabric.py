@@ -56,8 +56,8 @@ _VERIFY = VerifyConfig(benchmarks=("gzip",), scale=0.02,
 def _sweep_cell(params):
     task = TraceTask(bench=params["bench"], scale=params["scale"],
                      kind=params["kind"], variant=params["variant"])
-    digest, _, _, _ = _run_task(task, [MachineConfig()],
-                                params["cache_root"], MAX_STEPS)
+    digest, *_ = _run_task(task, [MachineConfig()], params["cache_root"],
+                           MAX_STEPS)
     return digest
 
 

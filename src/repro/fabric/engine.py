@@ -1,7 +1,8 @@
 """The fabric engine: one crash-tolerant work-queue for every campaign.
 
-:class:`Fabric` is what the faults, verify, and figure drivers now share
-instead of three hand-rolled pool loops.  A driver hands it a list of
+:class:`Fabric` is what the faults and verify drivers share instead of
+hand-rolled pool loops; the figure harness borrows only its
+:class:`~repro.fabric.supervise.PoolSupervisor`.  A driver hands it a list of
 content-addressed :class:`~repro.fabric.task.Task`\\ s plus its config
 fingerprint; the engine owns everything between "planned" and "in the
 report":

@@ -4,7 +4,7 @@ A fabric task is a *recipe reference*: the dotted name of a registered,
 deterministic function plus a JSON-canonical parameter dict.  Nothing
 heavyweight crosses a process boundary — workers re-import the recipe's
 module (which re-registers the recipe) and rebuild whatever state the
-parameters describe, the same trick :class:`repro.harness.parallel
+parameters describe, the same trick :class:`repro.harness.runner
 .TraceTask` uses for figure tasks.
 
 Because the recipe name and parameters *completely determine* the result,

@@ -18,11 +18,9 @@ from repro.harness.experiments import (
     fig8_rt,
     run_experiment,
 )
-from repro.harness.checkpoint import RunCheckpoint
 from repro.harness.parallel import (
     TaskFailure,
     TaskResults,
-    TraceTask,
     resolve_jobs,
     run_tasks,
 )
@@ -32,7 +30,7 @@ from repro.harness.report import (
     report_fingerprint,
     table_to_markdown,
 )
-from repro.harness.runner import Suite
+from repro.harness.runner import Suite, TraceTask
 from repro.harness.tables import ResultTable
 from repro.harness.trace_cache import (
     LazyTrace,
@@ -64,7 +62,6 @@ __all__ = [
     "build_report",
     "report_fingerprint",
     "table_to_markdown",
-    "RunCheckpoint",
     "Suite",
     "ResultTable",
     "TaskFailure",

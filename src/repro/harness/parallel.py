@@ -2,18 +2,21 @@
 
 A figure regeneration decomposes into independent (benchmark,
 transformation) functional simulations — by far the expensive part — plus
-the timing replays of each trace.  This module describes one such unit as a
-picklable :class:`TraceTask`, rebuilds its installation deterministically
-inside a worker process (images are regenerated from the profile seed, so
-nothing heavyweight crosses the pipe), and runs a batch of tasks across a
-``concurrent.futures.ProcessPoolExecutor``.
+the timing replays of each trace.  This module runs a batch of such units,
+each a picklable :class:`~repro.harness.runner.TraceTask`, across a
+``concurrent.futures.ProcessPoolExecutor``; each worker rebuilds its task's
+installation deterministically (images are regenerated from the profile
+seed, so nothing heavyweight crosses the pipe).
 
 Workers also run the timing replays their caller already knows it needs
 (the per-figure :class:`~repro.sim.config.MachineConfig` lists), so the
-serial aggregation phase afterwards is pure table arithmetic.  Everything a
-worker produces is pushed through the persistent
-:mod:`~repro.harness.trace_cache` when one is configured, making parallel
-and cached execution one mechanism.
+serial aggregation phase afterwards is pure table arithmetic.  Workers and
+the parent's warm check get traces and replays through the same helpers as
+:class:`~repro.harness.runner.Suite` (``installation_trace`` and
+``trace_replay``), so everything a worker produces goes through the
+persistent :mod:`~repro.harness.trace_cache` when one is configured, and a
+trace stored there comes back to the parent as a lazy cache reference
+rather than through the pipe.
 
 Pool supervision (watchdog timeouts, deterministic exponential backoff
 between retries, circuit breaking on repeated worker deaths) comes from
@@ -38,53 +41,42 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.acf.base import AcfInstallation, plain_installation
-from repro.acf.composition import build_composition
-from repro.acf.compression import CompressionOptions, compress_image
-from repro.acf.mfi import attach_mfi, rewrite_mfi
-from repro.core.config import DiseConfig
 from repro.errors import TaskError, TaskTimeoutError, WorkerCrashError
 from repro.fabric.supervise import (
     PoolSupervisor,
-    _env_number,
     resolve_jobs,
     resolve_retries,
     resolve_task_timeout,
 )
+from repro.harness.runner import (
+    FUNCTIONAL_DISE,
+    MAX_STEPS,
+    TraceTask,
+    build_installation,
+    installation_trace,
+    trace_replay,
+)
 from repro.harness.trace_cache import (
-    LazyTrace,
     TraceCache,
-    cycle_key,
     deserialize_trace,
-    machine_trace_key,
     serialize_trace,
 )
-from repro.sim.batch import BatchMachine, resolve_batch
 from repro.sim.config import MachineConfig
-from repro.sim.cycle import CycleResult, resolve_cycle_engine, simulate_trace
-from repro.sim.trace import TraceResult
+from repro.sim.cycle import CycleResult
 from repro.telemetry import events as _events
 from repro.telemetry import get_logger
 from repro.telemetry import registry as _telemetry
 from repro.telemetry import tracing as _tracing
-from repro.workloads.generator import generate_benchmark, reseed_data
+from repro.workloads.generator import generate_benchmark
 from repro.workloads.specint import get_profile
 
 logger = get_logger(__name__)
 
-#: Functional runs use a perfect RT: RT behaviour is replayed inside the
-#: timing model, so the functional pass should not burn time there.
-FUNCTIONAL_DISE = DiseConfig(rt_perfect=True)
-
-#: Generous dynamic-instruction budget for transformed binaries.
-MAX_STEPS = 30_000_000
-
-_KINDS = ("plain", "mfi", "rewrite", "compressed", "composed")
-
 # ``resolve_jobs`` / ``resolve_task_timeout`` / ``resolve_retries`` are this
 # module's historical public API; they now live with the rest of the
 # supervision knobs in :mod:`repro.fabric.supervise` and are re-exported
-# here unchanged.
+# here unchanged, as are the task description and its installation builder
+# from :mod:`repro.harness.runner`.
 __all__ = [
     "FUNCTIONAL_DISE",
     "MAX_STEPS",
@@ -130,69 +122,15 @@ class TaskResults(dict):
         self.failures: List[TaskFailure] = []
 
 
-@dataclass(frozen=True)
-class TraceTask:
-    """One (benchmark, transformation) functional simulation."""
-
-    bench: str
-    scale: float
-    kind: str
-    variant: Optional[str] = None              # mfi
-    label: Optional[str] = None                # compressed
-    options: Optional[CompressionOptions] = None  # compressed
-    scheme: Optional[str] = None               # composed
-    #: Figure points over seed variations: re-roll the data segment from
-    #: this seed while keeping the text segment (and every text-keyed
-    #: cache) identical to the base image.
-    data_seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown trace kind: {self.kind!r}")
-
-    def suite_key(self) -> Tuple:
-        """The :class:`~repro.harness.runner.Suite` trace-dict key."""
-        if self.kind == "plain":
-            key = (self.bench, "plain")
-        elif self.kind == "mfi":
-            key = (self.bench, "mfi", self.variant)
-        elif self.kind == "rewrite":
-            key = (self.bench, "rewrite")
-        elif self.kind == "compressed":
-            key = (self.bench, "compressed", self.label)
-        else:
-            key = (self.bench, "composed", self.scheme)
-        if self.data_seed is not None:
-            key = key + ("data", self.data_seed)
-        return key
-
-
-def build_installation(task: TraceTask, image=None) -> AcfInstallation:
-    """Deterministically rebuild the task's installation from scratch.
-
-    ``image`` lets callers that handle several tasks per benchmark reuse
-    one generated program (generation is deterministic either way).
-    """
-    if image is None:
-        image = generate_benchmark(get_profile(task.bench), scale=task.scale,
-                                   data_seed=task.data_seed)
-    if task.kind == "plain":
-        return plain_installation(image)
-    if task.kind == "mfi":
-        return attach_mfi(image, task.variant)
-    if task.kind == "rewrite":
-        return rewrite_mfi(image)
-    if task.kind == "compressed":
-        return compress_image(image, task.options).installation()
-    _, installation = build_composition(image, task.scheme)
-    return installation
-
-
 def _run_task(task: TraceTask, configs: Sequence[MachineConfig],
               cache_root: Optional[str], max_steps: int, trace_ctx=None):
     """Produce (digest, trace_bytes, {config_repr: CycleResult}, metrics,
     spans) for one task.  Runs in a worker process, but is equally
     callable in-process — that is the serial fallback path.
+
+    ``trace_bytes`` is ``None`` when the trace is in the persistent cache
+    (a hit, or stored by this call): the parent reads it from there lazily
+    instead of taking it through the pipe.
 
     ``metrics`` is the registry *delta* this call produced (or ``None``
     with telemetry off).  Pool callers merge it into the parent registry;
@@ -213,175 +151,27 @@ def _run_task(task: TraceTask, configs: Sequence[MachineConfig],
         return out[:4] + (list(session.records),)
     tm_before = _telemetry.snapshot() if _telemetry.enabled() else None
     cache = TraceCache(cache_root) if cache_root else None
-    installation = build_installation(task)
-    machine = installation.make_machine(FUNCTIONAL_DISE)
-    digest = machine_trace_key(installation, machine, repr(FUNCTIONAL_DISE),
-                               max_steps)
-
-    trace = None
-    trace_bytes = None
-    if cache is not None and digest is not None:
-        trace_bytes = cache.load_trace_bytes(digest)
-        if trace_bytes is not None:
-            try:
-                trace = deserialize_trace(trace_bytes)
-            except Exception:
-                trace, trace_bytes = None, None
-    if trace is None:
-        trace = machine.run(max_steps=max_steps)
-        trace_bytes = serialize_trace(trace)
-        if cache is not None and digest is not None:
-            cache.store_trace_bytes(digest, trace_bytes)
-    trace.cache_key = digest
-
-    cycles: Dict[str, CycleResult] = {}
-    # Workers inherit REPRO_CYCLE from the parent environment; resolving
-    # once per task keeps every replay of a sweep on the same engine.
-    engine = resolve_cycle_engine()
-    for config in configs:
-        config_repr = repr(config)
-        if config_repr in cycles:
-            continue
-        result = None
-        ck = cycle_key(digest, config_repr, True) if digest else None
-        if cache is not None and ck is not None:
-            result = cache.load_cycles(ck)
-        if result is None:
-            result = simulate_trace(trace, config, warm_start=True,
-                                    engine=engine)
-            if cache is not None and ck is not None:
-                cache.store_cycles(ck, result)
-        cycles[config_repr] = result
+    trace = installation_trace(build_installation(task), cache, max_steps)
+    cycles = {repr(config): trace_replay(trace, config, cache)
+              for config in configs}
+    stored = cache is not None and trace.cache_key is not None
     tm_delta = (_telemetry.snapshot_delta(tm_before, _telemetry.snapshot())
                 if tm_before is not None else None)
-    return digest, trace_bytes, cycles, tm_delta, None
+    return (trace.cache_key, None if stored else serialize_trace(trace),
+            cycles, tm_delta, None)
 
 
-def _fully_cached(task: TraceTask, configs: Sequence[MachineConfig],
-                  cache: TraceCache, max_steps: int, images: Dict):
-    """Parent-side warm path: when the trace *and every requested replay*
-    are already in the persistent cache, answer without deserializing the
-    trace (or spawning a worker).  Returns ``None`` on any miss."""
-    image_key = (task.bench, task.scale, task.data_seed)
-    if image_key not in images:
-        images[image_key] = generate_benchmark(get_profile(task.bench),
-                                               scale=task.scale,
-                                               data_seed=task.data_seed)
-    installation = build_installation(task, image=images[image_key])
-    machine = installation.make_machine(FUNCTIONAL_DISE)
-    digest = machine_trace_key(installation, machine, repr(FUNCTIONAL_DISE),
-                               max_steps)
-    if digest is None or not cache.has_trace(digest):
-        return None
+def _cached_replays(trace, configs: Sequence[MachineConfig],
+                    cache: TraceCache) -> Optional[Dict[str, CycleResult]]:
+    """Every requested replay of ``trace`` from the cache, or ``None`` on
+    the first miss."""
     cycles: Dict[str, CycleResult] = {}
     for config in configs:
-        config_repr = repr(config)
-        if config_repr in cycles:
-            continue
-        result = cache.load_cycles(cycle_key(digest, config_repr, True))
+        result = trace_replay(trace, config, cache, compute=False)
         if result is None:
             return None
-        cycles[config_repr] = result
-    recompute = lambda: installation.make_machine(FUNCTIONAL_DISE).run(
-        max_steps=max_steps
-    )
-    return digest, LazyTrace(cache, digest, recompute), cycles
-
-
-def _cohort_installation(task: TraceTask,
-                         bases: Dict[Tuple, AcfInstallation]
-                         ) -> AcfInstallation:
-    """The task's installation, derived from a shared base when possible.
-
-    ``data_seed`` variants reuse the base installation's transformed image
-    (only the data segment is re-rolled), so every lane of a cohort binds
-    to the same translation/compiled-superblock stores.  Equivalent to
-    :func:`build_installation` — the stub append commutes with the data
-    re-roll — just cheaper and cache-shared.
-    """
-    base_key = (task.bench, task.scale, task.kind, task.variant,
-                task.label, task.options, task.scheme)
-    base = bases.get(base_key)
-    if base is None:
-        base_task = TraceTask(bench=task.bench, scale=task.scale,
-                              kind=task.kind, variant=task.variant,
-                              label=task.label, options=task.options,
-                              scheme=task.scheme)
-        base = bases[base_key] = build_installation(base_task)
-    if task.data_seed is None:
-        return base
-    image = reseed_data(base.image, get_profile(task.bench), task.data_seed)
-    return AcfInstallation(image=image,
-                           production_sets=base.production_sets,
-                           init_machine=base.init_machine,
-                           name=base.name)
-
-
-def _run_tasks_cohort(merged: Dict[TraceTask, List[MachineConfig]],
-                      results: "TaskResults", cache, max_steps: int,
-                      begin_attempt, task_elapsed, finish):
-    """Serial-branch cohort path: one BatchMachine over all trace misses.
-
-    Produces exactly what the per-task serial loop produces (digests,
-    serialized traces, cycle replays, telemetry in the parent registry);
-    only the functional simulations are interleaved.
-    """
-    bases: Dict[Tuple, AcfInstallation] = {}
-    pending = []
-    for task, configs in merged.items():
-        begin_attempt(task)
-        installation = _cohort_installation(task, bases)
-        machine = installation.make_machine(FUNCTIONAL_DISE)
-        digest = machine_trace_key(installation, machine,
-                                   repr(FUNCTIONAL_DISE), max_steps)
-        trace = None
-        trace_bytes = None
-        if cache is not None and digest is not None:
-            trace_bytes = cache.load_trace_bytes(digest)
-            if trace_bytes is not None:
-                try:
-                    trace = deserialize_trace(trace_bytes)
-                except Exception:
-                    trace, trace_bytes = None, None
-        pending.append([task, configs, installation, machine, digest,
-                        trace, trace_bytes])
-
-    cohort = BatchMachine()
-    lanes = {}
-    for entry in pending:
-        if entry[5] is None:
-            lanes[id(entry[3])] = cohort.add_lane(entry[3],
-                                                  max_steps=max_steps)
-    if lanes:
-        cohort.run()
-        outcomes = cohort.outcomes()
-
-    for task, configs, installation, machine, digest, trace, \
-            trace_bytes in pending:
-        if trace is None:
-            trace = outcomes[lanes[id(machine)]].raise_or_result(max_steps)
-            trace_bytes = serialize_trace(trace)
-            if cache is not None and digest is not None:
-                cache.store_trace_bytes(digest, trace_bytes)
-        cycles: Dict[str, CycleResult] = {}
-        engine = resolve_cycle_engine()
-        for config in configs:
-            config_repr = repr(config)
-            if config_repr in cycles:
-                continue
-            result = None
-            ck = cycle_key(digest, config_repr, True) if digest else None
-            if cache is not None and ck is not None:
-                result = cache.load_cycles(ck)
-            if result is None:
-                result = simulate_trace(trace, config, warm_start=True,
-                                        engine=engine)
-                if cache is not None and ck is not None:
-                    cache.store_cycles(ck, result)
-            cycles[config_repr] = result
-        results[task] = finish(digest, trace_bytes, cycles)
-        _record_task(task, task_elapsed(task), 1, "ok")
-    return results
+        cycles[repr(config)] = result
+    return cycles
 
 
 def _task_label(task: TraceTask) -> str:
@@ -454,33 +244,48 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
         start = first_start.get(task)
         return time.monotonic() - start if start is not None else 0.0
 
+    # Warm check: a task whose trace and every requested replay are in the
+    # cache is answered here, lazily, without a worker.  The installations
+    # of the rest are kept to read their traces back once a worker has
+    # stored them.
+    installations = {}
     if cache is not None:
         images: Dict[Tuple, object] = {}
         for task, configs in list(merged.items()):
             t0 = time.monotonic()
-            hit = _fully_cached(task, configs, cache, max_steps, images)
-            if hit is not None:
-                results[task] = hit
-                del merged[task]
-                _record_task(task, time.monotonic() - t0, 1, "cached")
+            image_key = (task.bench, task.scale)
+            if image_key not in images:
+                images[image_key] = generate_benchmark(
+                    get_profile(task.bench), scale=task.scale)
+            installation = build_installation(task, images[image_key])
+            trace = installation_trace(installation, cache, max_steps,
+                                       compute=False)
+            cycles = (None if trace is None
+                      else _cached_replays(trace, configs, cache))
+            if cycles is None:
+                installations[task] = installation
+                continue
+            results[task] = (trace.cache_key, trace, cycles)
+            del merged[task]
+            _record_task(task, time.monotonic() - t0, 1, "cached")
         if not merged:
             return results
 
-    def finish(digest, trace_bytes, cycles):
-        trace = deserialize_trace(trace_bytes)
-        trace.cache_key = digest
+    def finish(task, digest, trace_bytes, cycles):
+        if trace_bytes is None:
+            trace = installation_trace(installations[task], cache, max_steps)
+        else:
+            trace = deserialize_trace(trace_bytes)
+            trace.cache_key = digest
         return digest, trace, cycles
 
     if jobs <= 1 or len(merged) <= 1:
-        if resolve_batch() >= 2 and len(merged) >= 2:
-            return _run_tasks_cohort(merged, results, cache, max_steps,
-                                     begin_attempt, task_elapsed, finish)
         for task, configs in merged.items():
             begin_attempt(task)
             digest, trace_bytes, cycles, _, _ = _run_task(
                 task, configs, cache_root, max_steps
             )
-            results[task] = finish(digest, trace_bytes, cycles)
+            results[task] = finish(task, digest, trace_bytes, cycles)
             _record_task(task, task_elapsed(task), 1, "ok")
         return results
 
@@ -507,7 +312,7 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
                 _telemetry.get_registry().merge(tm_delta)
             if spans:
                 _events.emit_remote_spans(spans)
-            results[task] = finish(digest, trace_bytes, cycles)
+            results[task] = finish(task, digest, trace_bytes, cycles)
             _record_task(task, outcome.elapsed, outcome.attempts, "ok")
         elif outcome.status == "timeout":
             error = TaskTimeoutError(
@@ -564,6 +369,6 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
                 "(see results.failures)", task, type(exc).__name__, exc,
             )
             continue
-        results[task] = finish(digest, trace_bytes, cycles)
+        results[task] = finish(task, digest, trace_bytes, cycles)
         _record_task(task, task_elapsed(task), retries + 2, "fallback")
     return results

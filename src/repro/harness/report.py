@@ -2,13 +2,17 @@
 
 ``build_report`` runs every experiment on a suite and renders one markdown
 document — the machinery behind regenerating EXPERIMENTS.md's raw data.
+Its per-section progress is kept in a fabric checkpoint
+(:mod:`repro.fabric.checkpoint`, driver ``"report"``), so a corrupt or
+edited checkpoint is quarantined rather than served on resume.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from repro.fabric.checkpoint import write_checkpoint
 from repro.harness.config import render_config_table
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.runner import Suite
@@ -70,6 +74,10 @@ def _render_section(name: str, suite: Suite) -> str:
     return "\n".join(parts)
 
 
+#: The fabric checkpoint driver name of report runs.
+REPORT_DRIVER = "report"
+
+
 def report_fingerprint(suite: Suite,
                        experiments: Optional[Sequence[str]] = None) -> dict:
     """Checkpoint identity of a report run: everything that changes its
@@ -84,24 +92,34 @@ def report_fingerprint(suite: Suite,
 def build_report(suite: Optional[Suite] = None,
                  experiments: Optional[Sequence[str]] = None,
                  title="DISE reproduction — measured results",
-                 checkpoint=None) -> str:
+                 checkpoint: Optional[str] = None,
+                 completed: Optional[Dict[str, str]] = None) -> str:
     """Run experiments and render one markdown report.
 
-    With a :class:`~repro.harness.checkpoint.RunCheckpoint`, each finished
-    experiment section is persisted immediately and already-checkpointed
-    sections are replayed instead of recomputed — an interrupted report run
-    resumes where it died.
+    ``completed`` maps experiment ids to sections already rendered — what
+    :func:`~repro.fabric.checkpoint.load_checkpoint` restores from a
+    ``checkpoint`` under driver :data:`REPORT_DRIVER` and
+    :func:`report_fingerprint` — and those are served instead of
+    recomputed.  With a ``checkpoint`` path, the completed table is
+    rewritten there (:func:`~repro.fabric.checkpoint.write_checkpoint`)
+    after every fresh section, so an interrupted report run resumes where
+    it died.  The file stays behind; the caller removes it once the report
+    is safely written.
     """
     suite = suite or Suite()
     names = list(experiments or ALL_EXPERIMENTS)
+    fingerprint = report_fingerprint(suite, names)
+    completed = dict(completed or {})
     parts = [f"# {title}", "", "```", render_config_table(), "```", ""]
     for name in names:
-        section = checkpoint.completed(name) if checkpoint else None
+        section = completed.get(name)
         if section is None:
             with _events.span("experiment", experiment=name):
                 section = _render_section(name, suite)
             if checkpoint is not None:
-                checkpoint.record(name, section)
+                completed[name] = section
+                write_checkpoint(checkpoint, REPORT_DRIVER, fingerprint,
+                                 completed)
         parts.append(section)
     if _telemetry.enabled():
         parts.append(render_telemetry_section())

@@ -6,6 +6,13 @@ functional traces of each (benchmark, transformation) pair.  Timing replays
 the cached traces, which is what makes regenerating all of Figures 6-8
 tractable.
 
+One (benchmark, transformation) pair is a :class:`TraceTask`;
+:func:`build_installation` is the one map from a task to its installation,
+:func:`installation_trace` the one way to get its functional trace (from
+the persistent cache or by running the machine), and :func:`trace_replay`
+the one way to get a timing replay (from the cache or by simulating).  The
+suite, the pool workers and the parent's warm check all go through them.
+
 Two accelerators sit underneath (see :mod:`repro.harness.parallel` and
 :mod:`repro.harness.trace_cache`):
 
@@ -19,6 +26,7 @@ Two accelerators sit underneath (see :mod:`repro.harness.parallel` and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.acf.base import AcfInstallation, plain_installation
@@ -29,15 +37,11 @@ from repro.acf.compression import (
     compress_image,
 )
 from repro.acf.mfi import attach_mfi, rewrite_mfi
-from repro.harness.parallel import (
-    FUNCTIONAL_DISE,
-    MAX_STEPS,
-    TraceTask,
-    resolve_jobs,
-    run_tasks,
-)
+from repro.core.config import DiseConfig
+from repro.fabric.supervise import resolve_jobs
 from repro.harness.trace_cache import (
     LazyTrace,
+    TraceCache,
     cycle_key,
     machine_trace_key,
     open_cache,
@@ -51,9 +55,116 @@ from repro.telemetry import events as _events
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.specint import BENCHMARK_NAMES, get_profile
 
-# Backwards-compatible aliases (pre-parallel names).
-_FUNCTIONAL_DISE = FUNCTIONAL_DISE
-_MAX_STEPS = MAX_STEPS
+#: Functional runs use a perfect RT: RT behaviour is replayed inside the
+#: timing model, so the functional pass should not burn time there.
+FUNCTIONAL_DISE = DiseConfig(rt_perfect=True)
+
+#: Generous dynamic-instruction budget for transformed binaries.
+MAX_STEPS = 30_000_000
+
+_KINDS = ("plain", "mfi", "rewrite", "compressed", "composed")
+
+
+@dataclass(frozen=True)
+class TraceTask:
+    """One (benchmark, transformation) functional simulation."""
+
+    bench: str
+    scale: float
+    kind: str
+    variant: Optional[str] = None              # mfi
+    label: Optional[str] = None                # compressed
+    options: Optional[CompressionOptions] = None  # compressed
+    scheme: Optional[str] = None               # composed
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown trace kind: {self.kind!r}")
+
+    def suite_key(self) -> Tuple:
+        """The :class:`Suite` trace-dict key."""
+        if self.kind == "mfi":
+            return (self.bench, "mfi", self.variant)
+        if self.kind == "compressed":
+            return (self.bench, "compressed", self.label)
+        if self.kind == "composed":
+            return (self.bench, "composed", self.scheme)
+        return (self.bench, self.kind)
+
+
+def build_installation(task: TraceTask, image: Optional[ProgramImage] = None,
+                       compress=None) -> AcfInstallation:
+    """Deterministically build the task's installation.
+
+    ``image`` defaults to the benchmark regenerated from its profile.
+    ``compress(image, options)`` produces a compressed task's
+    :class:`CompressionResult` (default :func:`compress_image`), so a
+    caller that memoises compressions can share them.
+    """
+    if image is None:
+        image = generate_benchmark(get_profile(task.bench), scale=task.scale)
+    if task.kind == "plain":
+        return plain_installation(image)
+    if task.kind == "mfi":
+        return attach_mfi(image, task.variant)
+    if task.kind == "rewrite":
+        return rewrite_mfi(image)
+    if task.kind == "compressed":
+        return (compress or compress_image)(image, task.options).installation()
+    _, installation = build_composition(image, task.scheme)
+    return installation
+
+
+def installation_trace(installation: AcfInstallation,
+                       cache: Optional[TraceCache],
+                       max_steps: int = MAX_STEPS,
+                       compute: bool = True) -> Optional[TraceResult]:
+    """The functional trace of ``installation`` under :data:`FUNCTIONAL_DISE`.
+
+    A trace-cache hit returns a :class:`LazyTrace`: its ops are
+    deserialized only when a timing replay needs them, so a warm figure run
+    whose replays are all cached never touches them.  A miss runs the
+    machine and stores the trace — or, with ``compute`` false, returns
+    ``None``.  The trace's ``cache_key`` is its cache digest (``None`` for
+    an uncacheable run).
+    """
+    machine = installation.make_machine(FUNCTIONAL_DISE)
+    digest = machine_trace_key(installation, machine, repr(FUNCTIONAL_DISE),
+                               max_steps)
+    if cache is not None and digest is not None and cache.has_trace(digest):
+        return LazyTrace(cache, digest,
+                         recompute=lambda: machine.run(max_steps=max_steps))
+    if not compute:
+        return None
+    trace = machine.run(max_steps=max_steps)
+    trace.cache_key = digest
+    if cache is not None and digest is not None:
+        cache.store_trace(digest, trace)
+    return trace
+
+
+def trace_replay(trace: TraceResult, config: Optional[MachineConfig],
+                 cache: Optional[TraceCache], engine: Optional[str] = None,
+                 compute: bool = True) -> Optional[CycleResult]:
+    """The warm-start timing replay of ``trace`` on ``config``.
+
+    Steady-state measurement: our runs are shorter than the paper's
+    complete-input runs, so cold misses are warmed away.  A cycle-cache hit
+    is returned as stored; a miss runs :func:`simulate_trace` and stores
+    the result — or, with ``compute`` false, returns ``None``.
+    """
+    key = None
+    if cache is not None and trace.cache_key is not None:
+        key = cycle_key(trace.cache_key, repr(config), True)
+        result = cache.load_cycles(key)
+        if result is not None:
+            return result
+    if not compute:
+        return None
+    result = simulate_trace(trace, config, warm_start=True, engine=engine)
+    if key is not None:
+        cache.store_cycles(key, result)
+    return result
 
 
 class Suite:
@@ -90,53 +201,6 @@ class Suite:
             )
         return self._images[bench]
 
-    def _execute_installation(self, installation: AcfInstallation
-                              ) -> TraceResult:
-        """One functional run, through the persistent cache when possible."""
-        machine = installation.make_machine(FUNCTIONAL_DISE)
-        digest = None
-        if self.cache is not None:
-            digest = machine_trace_key(installation, machine,
-                                       repr(FUNCTIONAL_DISE), MAX_STEPS)
-            if digest is not None and self.cache.has_trace(digest):
-                # Deserialization is deferred: a warm figure run that finds
-                # all its cycle replays cached never touches the ops.
-                return LazyTrace(
-                    self.cache, digest,
-                    recompute=lambda: machine.run(max_steps=MAX_STEPS),
-                )
-        trace = machine.run(max_steps=MAX_STEPS)
-        trace.cache_key = digest
-        if digest is not None:
-            self.cache.store_trace(digest, trace)
-        return trace
-
-    def _run(self, key: Tuple, installation: AcfInstallation) -> TraceResult:
-        if key not in self._traces:
-            self._traces[key] = self._execute_installation(installation)
-        return self._traces[key]
-
-    # ------------------------------------------------------------------
-    # Traces per transformation
-    # ------------------------------------------------------------------
-    def trace_plain(self, bench: str) -> TraceResult:
-        key = (bench, "plain")
-        if key not in self._traces:
-            self._run(key, plain_installation(self.image(bench)))
-        return self._traces[key]
-
-    def trace_mfi(self, bench: str, variant: str) -> TraceResult:
-        key = (bench, "mfi", variant)
-        if key not in self._traces:
-            self._run(key, attach_mfi(self.image(bench), variant))
-        return self._traces[key]
-
-    def trace_rewrite(self, bench: str) -> TraceResult:
-        key = (bench, "rewrite")
-        if key not in self._traces:
-            self._run(key, rewrite_mfi(self.image(bench)))
-        return self._traces[key]
-
     def compression(self, bench: str,
                     options: CompressionOptions,
                     label: str) -> CompressionResult:
@@ -147,54 +211,48 @@ class Suite:
             )
         return self._compressions[key]
 
-    def trace_compressed(self, bench: str, options: CompressionOptions,
-                         label: str) -> TraceResult:
-        key = (bench, "compressed", label)
+    # ------------------------------------------------------------------
+    # Traces per transformation
+    # ------------------------------------------------------------------
+    def _trace(self, task: TraceTask) -> TraceResult:
+        key = task.suite_key()
         if key not in self._traces:
-            result = self.compression(bench, options, label)
-            self._run(key, result.installation())
+            installation = build_installation(
+                task, self.image(task.bench),
+                compress=lambda image, options: self.compression(
+                    task.bench, options, task.label),
+            )
+            self._traces[key] = installation_trace(installation, self.cache)
         return self._traces[key]
 
-    def composition(self, bench: str, scheme: str
-                    ) -> Tuple[CompressionResult, AcfInstallation]:
-        ckey = (bench, "composition", scheme)
-        tkey = (bench, "composed", scheme)
-        if ckey not in self._compressions or tkey not in self._traces:
-            result, installation = build_composition(self.image(bench),
-                                                     scheme)
-            self._compressions.setdefault(ckey, result)
-            if tkey not in self._traces:
-                self._traces[tkey] = self._execute_installation(installation)
-        return self._compressions[ckey], None
+    def trace_plain(self, bench: str) -> TraceResult:
+        return self._trace(self.task("plain", bench))
+
+    def trace_mfi(self, bench: str, variant: str) -> TraceResult:
+        return self._trace(self.task("mfi", bench, variant=variant))
+
+    def trace_rewrite(self, bench: str) -> TraceResult:
+        return self._trace(self.task("rewrite", bench))
+
+    def trace_compressed(self, bench: str, options: CompressionOptions,
+                         label: str) -> TraceResult:
+        return self._trace(self.task("compressed", bench, label=label,
+                                     options=options))
 
     def trace_composition(self, bench: str, scheme: str) -> TraceResult:
-        self.composition(bench, scheme)
-        return self._traces[(bench, "composed", scheme)]
+        return self._trace(self.task("composed", bench, scheme=scheme))
 
     # ------------------------------------------------------------------
     def cycles(self, trace: TraceResult,
                config: Optional[MachineConfig] = None) -> CycleResult:
-        # Steady-state measurement: our runs are shorter than the paper's
-        # complete-input runs, so cold misses are warmed away.  Results are
-        # memoised — figures share many (trace, config) replays.  The key is
-        # a content fingerprint: id(trace) could be recycled by the
-        # allocator after a trace is garbage-collected, silently returning
-        # another trace's results.
-        fingerprint = trace_fingerprint(trace)
-        key = (fingerprint, repr(config))
+        # Results are memoised — figures share many (trace, config)
+        # replays.  The key is a content fingerprint: id(trace) could be
+        # recycled by the allocator after a trace is garbage-collected,
+        # silently returning another trace's results.
+        key = (trace_fingerprint(trace), repr(config))
         if key not in self._cycles:
-            result = None
-            persistent_key = None
-            if self.cache is not None and trace.cache_key is not None:
-                persistent_key = cycle_key(trace.cache_key, repr(config),
-                                           True)
-                result = self.cache.load_cycles(persistent_key)
-            if result is None:
-                result = simulate_trace(trace, config, warm_start=True,
-                                        engine=self.cycle_engine)
-                if persistent_key is not None:
-                    self.cache.store_cycles(persistent_key, result)
-            self._cycles[key] = result
+            self._cycles[key] = trace_replay(trace, config, self.cache,
+                                             self.cycle_engine)
         return self._cycles[key]
 
     # ------------------------------------------------------------------
@@ -214,6 +272,9 @@ class Suite:
         compute everything on demand, through the persistent cache).
         Returns the number of tasks executed.
         """
+        # Imported here: repro.harness.parallel imports this module.
+        from repro.harness.parallel import run_tasks
+
         jobs = resolve_jobs(self.jobs if jobs is None else jobs)
         if jobs <= 1:
             return 0
@@ -235,21 +296,3 @@ class Suite:
             for config_repr, result in cycle_results.items():
                 self._cycles.setdefault((fingerprint, config_repr), result)
         return len(results)
-
-    def run_parallel(self, tasks: Iterable[TraceTask],
-                     jobs: Optional[int] = None) -> Dict[Tuple, TraceResult]:
-        """Run trace tasks in parallel and return {suite key: trace}.
-
-        Unlike :meth:`prefetch` this always executes (even with one job)
-        and returns the traces directly.
-        """
-        normalized = [(task, ()) for task in tasks]
-        results = run_tasks(normalized,
-                            jobs=resolve_jobs(self.jobs if jobs is None
-                                              else jobs),
-                            cache=self.cache)
-        out = {}
-        for task, (digest, trace, _) in results.items():
-            self._traces.setdefault(task.suite_key(), trace)
-            out[task.suite_key()] = self._traces[task.suite_key()]
-        return out

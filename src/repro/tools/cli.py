@@ -194,30 +194,34 @@ def cmd_experiment(args):
 
 def cmd_report(args):
     """``report``: run experiments and emit a markdown report."""
-    from repro.harness.report import build_report, report_fingerprint
+    from repro.fabric.checkpoint import load_checkpoint
+    from repro.harness.report import (
+        REPORT_DRIVER,
+        build_report,
+        report_fingerprint,
+    )
 
     suite = _suite_from_args(args)
     experiments = (
         tuple(args.experiments.split(",")) if args.experiments else None
     )
     checkpoint = None
+    completed = {}
     if args.checkpoint or args.resume:
-        from repro.harness.checkpoint import RunCheckpoint
-
-        path = args.checkpoint or ".repro-report-checkpoint.json"
-        fingerprint = report_fingerprint(suite, experiments)
+        checkpoint = args.checkpoint or ".repro-report-checkpoint.json"
         if args.resume:
-            checkpoint = RunCheckpoint.load(path, fingerprint)
-            if len(checkpoint):
-                print(f"resuming: {len(checkpoint)} experiment(s) restored "
-                      f"from {path}", file=sys.stderr)
-        else:
-            checkpoint = RunCheckpoint(path, fingerprint)
+            completed = load_checkpoint(
+                checkpoint, REPORT_DRIVER,
+                report_fingerprint(suite, experiments),
+            )
+            if completed:
+                print(f"resuming: {len(completed)} experiment(s) restored "
+                      f"from {checkpoint}", file=sys.stderr)
     with _telemetry_run(args):
         report = build_report(suite, experiments=experiments,
-                              checkpoint=checkpoint)
+                              checkpoint=checkpoint, completed=completed)
     if checkpoint is not None:
-        checkpoint.clear()
+        Path(checkpoint).unlink(missing_ok=True)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(report)

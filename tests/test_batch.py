@@ -1,5 +1,5 @@
 """Batched cohort execution: equality with the scalar tiers, divergence
-handling, campaign/harness wiring, and the ``REPRO_BATCH`` knob."""
+handling, campaign wiring, and the ``REPRO_BATCH`` knob."""
 
 import json
 
@@ -13,7 +13,6 @@ from repro.faults.campaign import (
     CampaignInterrupted,
     run_campaign,
 )
-from repro.harness.parallel import TraceTask, run_tasks
 from repro.harness.trace_cache import serialize_trace
 from repro.sim.batch import (
     DEFAULT_COHORT,
@@ -21,7 +20,6 @@ from repro.sim.batch import (
     resolve_batch,
     run_cohort,
 )
-from repro.sim.config import MachineConfig
 from repro.telemetry import registry as registry_mod
 from repro.verify.observe import Observer
 from repro.workloads import BENCHMARK_NAMES, get_profile
@@ -256,33 +254,6 @@ class TestCampaignBatch:
                                resume=True, batch=4)
         assert json.dumps(resumed, sort_keys=True) == \
             json.dumps(reference, sort_keys=True)
-
-
-class TestHarnessCohort:
-    def _plan(self):
-        return [
-            (TraceTask(bench="mcf", scale=0.2, kind="mfi", variant="dise3",
-                       data_seed=seed), [MachineConfig()])
-            for seed in (None, 1, 2)
-        ]
-
-    def test_cohort_results_match_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        serial = run_tasks(self._plan(), jobs=1)
-        monkeypatch.setenv("REPRO_BATCH", "4")
-        cohort = run_tasks(self._plan(), jobs=1)
-        assert set(serial) == set(cohort)
-        for task in serial:
-            _, trace_s, cycles_s = serial[task]
-            _, trace_b, cycles_b = cohort[task]
-            assert serialize_trace(trace_s) == serialize_trace(trace_b)
-            assert cycles_s == cycles_b
-
-    def test_data_seed_is_part_of_the_suite_key(self):
-        base = TraceTask("mcf", 1.0, "mfi", variant="dise3")
-        seeded = TraceTask("mcf", 1.0, "mfi", variant="dise3", data_seed=4)
-        assert base.suite_key() != seeded.suite_key()
-        assert seeded.suite_key() == base.suite_key() + ("data", 4)
 
 
 class TestGeneratorDataSeed:

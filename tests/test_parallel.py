@@ -5,7 +5,8 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.harness import Suite, fig6_top, fig6_width
+from repro.harness import Suite, fig6_top, fig6_width, fig7_perf, fig8_rt
+from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import (
     TraceTask,
     build_installation,
@@ -211,3 +212,32 @@ class TestSuiteIntegration:
         trace2 = second.trace_plain("mcf")
         assert trace2.cache_key is not None
         assert second.cycles(trace2, config) == result
+
+    @pytest.mark.parametrize("experiment,kind", [(fig7_perf, "compressed"),
+                                                 (fig8_rt, "composed")])
+    def test_pool_path_for_every_task_kind(self, tmp_path, monkeypatch,
+                                           experiment, kind):
+        def table_bytes(table):
+            return table.render() + repr(sorted(table.as_dict().items()))
+
+        seen = []
+        real = parallel_mod.run_tasks
+
+        def recording(plan, **kwargs):
+            plan = list(plan)
+            results = real(plan, **kwargs)
+            seen.append(({task.kind for task, _ in plan}, results))
+            return results
+
+        monkeypatch.setattr(parallel_mod, "run_tasks", recording)
+        reference = table_bytes(experiment(
+            Suite(benchmarks=("mcf",), scale=0.05, jobs=1, cache=None)))
+        assert not seen
+        for phase in ("cold", "warm"):
+            suite = Suite(benchmarks=("mcf",), scale=0.05, jobs=2,
+                          cache=tmp_path / "cache")
+            assert table_bytes(experiment(suite)) == reference, phase
+        (cold_kinds, _), (warm_kinds, warm) = seen
+        assert cold_kinds == warm_kinds == {"plain", kind}
+        for _, trace, _ in warm.values():
+            assert isinstance(trace, LazyTrace) and trace._real is None

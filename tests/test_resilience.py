@@ -3,13 +3,14 @@
 import json
 import logging
 import os
+import re
 from concurrent.futures import Future
 
 import pytest
 
 from repro.errors import CheckpointError, TaskTimeoutError
+from repro.fabric.checkpoint import load_checkpoint, write_checkpoint
 from repro.harness import Suite
-from repro.harness.checkpoint import RunCheckpoint
 from repro.harness.parallel import (
     TaskResults,
     TraceTask,
@@ -17,9 +18,14 @@ from repro.harness.parallel import (
     resolve_task_timeout,
     run_tasks,
 )
-from repro.harness.report import build_report, report_fingerprint
+from repro.harness.report import (
+    REPORT_DRIVER,
+    build_report,
+    report_fingerprint,
+)
 from repro.harness.trace_cache import serialize_trace
 from repro.sim.config import MachineConfig
+from repro.tools.cli import main
 
 SCALE = 0.05
 
@@ -167,31 +173,31 @@ class TestReportCheckpoint:
 
         reference = build_report(suite, experiments=self.EXPS)
 
-        checkpoint = RunCheckpoint(path, fingerprint)
-        first = build_report(suite, experiments=self.EXPS,
-                             checkpoint=checkpoint)
+        first = build_report(suite, experiments=self.EXPS, checkpoint=path)
         assert first == reference
-        assert os.path.exists(path) and len(checkpoint) == 1
+        assert os.path.exists(path) and \
+            len(load_checkpoint(path, REPORT_DRIVER, fingerprint)) == 1
 
         # A "resumed" run replays the checkpointed section — even on a
         # suite that could not recompute it — and renders identically.
         broken = Suite(benchmarks=("nonsense",), scale=SCALE, cache=None)
         broken.benchmarks = ("mcf",)   # fingerprint-compatible, unusable
-        restored = RunCheckpoint.load(path, fingerprint)
+        restored = load_checkpoint(path, REPORT_DRIVER, fingerprint)
         assert len(restored) == 1
         resumed = build_report(broken, experiments=self.EXPS,
-                               checkpoint=restored)
+                               checkpoint=path, completed=restored)
         assert resumed == reference
 
     def test_fingerprint_mismatch_refuses(self, tmp_path):
         suite = self._suite()
         path = str(tmp_path / "ck.json")
-        checkpoint = RunCheckpoint(path, report_fingerprint(suite,
-                                                            self.EXPS))
-        checkpoint.record("fig6_top", "## stale section")
+        write_checkpoint(path, REPORT_DRIVER,
+                         report_fingerprint(suite, self.EXPS),
+                         {"fig6_top": "## stale section"})
         with pytest.raises(CheckpointError):
-            RunCheckpoint.load(
-                path, report_fingerprint(suite, ("fig6_top", "fig6_width"))
+            load_checkpoint(
+                path, REPORT_DRIVER,
+                report_fingerprint(suite, ("fig6_top", "fig6_width")),
             )
 
     def test_corrupt_checkpoint_quarantined(self, tmp_path):
@@ -199,7 +205,8 @@ class TestReportCheckpoint:
         # it is renamed aside and the run restarts from empty.
         path = tmp_path / "ck.json"
         path.write_text("{not json")
-        checkpoint = RunCheckpoint.load(str(path), {"anything": 1})
+        checkpoint = load_checkpoint(str(path), REPORT_DRIVER,
+                                     {"anything": 1})
         assert len(checkpoint) == 0
         assert not path.exists()
         assert (tmp_path / "ck.json.quarantined").exists()
@@ -208,24 +215,53 @@ class TestReportCheckpoint:
         path = tmp_path / "ck.json"
         path.write_text(json.dumps({"schema": 1, "fingerprint": {"x": 1},
                                     "sections": "oops"}))
-        checkpoint = RunCheckpoint.load(str(path), {"x": 1})
+        checkpoint = load_checkpoint(str(path), REPORT_DRIVER, {"x": 1})
         assert len(checkpoint) == 0
         assert (tmp_path / "ck.json.quarantined").exists()
 
     def test_missing_checkpoint_starts_empty(self, tmp_path):
-        checkpoint = RunCheckpoint.load(str(tmp_path / "absent.json"),
-                                        {"x": 1})
+        checkpoint = load_checkpoint(str(tmp_path / "absent.json"),
+                                     REPORT_DRIVER, {"x": 1})
         assert len(checkpoint) == 0
-        assert checkpoint.completed("fig6_top") is None
+        assert checkpoint.get("fig6_top") is None
 
-    def test_clear_removes_the_file(self, tmp_path):
+    def test_clear_removes_the_file(self, tmp_path, capsys):
+        # A report run that completes removes its checkpoint.
         path = str(tmp_path / "ck.json")
-        checkpoint = RunCheckpoint(path, {"x": 1})
-        checkpoint.record("a", "text")
+        write_checkpoint(path, REPORT_DRIVER, {"x": 1}, {"a": "text"})
         assert os.path.exists(path)
-        checkpoint.clear()
+        assert main(["report", "--benchmarks", "mcf", "--scale", "0.1",
+                     "--no-cache", "--experiments", "fig7_ratio",
+                     "--checkpoint", path]) == 0
         assert not os.path.exists(path)
-        assert len(checkpoint) == 0
+        assert len(load_checkpoint(path, REPORT_DRIVER, {"x": 1})) == 0
+
+    def test_edited_section_is_quarantined_and_recomputed(self, tmp_path):
+        # A completed section edited in place, leaving valid JSON, fails
+        # the checkpoint's content digest: it is quarantined and
+        # recomputed, never served.
+        suite = self._suite()
+        fingerprint = report_fingerprint(suite, self.EXPS)
+        path = tmp_path / "ck.json"
+        reference = build_report(suite, experiments=self.EXPS,
+                                 checkpoint=str(path))
+
+        payload = json.loads(path.read_text())
+        section = payload["completed"]["fig6_top"]
+        row = next(line for line in section.splitlines()
+                   if line.startswith("| mcf |"))
+        cell = re.search(r"\d+\.\d+", row).group(0)
+        edited = row.replace(cell, "9.99", 1)
+        assert edited != row and edited not in reference
+        payload["completed"]["fig6_top"] = section.replace(row, edited)
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2))
+
+        restored = load_checkpoint(str(path), REPORT_DRIVER, fingerprint)
+        assert restored == {}
+        assert (tmp_path / "ck.json.quarantined").exists()
+        resumed = build_report(self._suite(), experiments=self.EXPS,
+                               checkpoint=str(path), completed=restored)
+        assert resumed == reference
 
 
 class TestKilledWorkerResume:
@@ -242,7 +278,6 @@ class TestKilledWorkerResume:
 
         # Run 1 "dies" after the first experiment (simulated by an
         # exception from the second), leaving the checkpoint behind.
-        checkpoint = RunCheckpoint(path, fingerprint)
         from repro.harness import report as report_mod
 
         real = report_mod._render_section
@@ -258,15 +293,15 @@ class TestKilledWorkerResume:
         try:
             with pytest.raises(KeyboardInterrupt):
                 build_report(self._fresh(), experiments=exps,
-                             checkpoint=checkpoint)
+                             checkpoint=path)
         finally:
             report_mod._render_section = real
-        assert len(RunCheckpoint.load(path, fingerprint)) == 1
+        assert len(load_checkpoint(path, REPORT_DRIVER, fingerprint)) == 1
 
         # Run 2 resumes: only the unfinished experiment is recomputed.
-        restored = RunCheckpoint.load(path, fingerprint)
+        restored = load_checkpoint(path, REPORT_DRIVER, fingerprint)
         resumed = build_report(self._fresh(), experiments=exps,
-                               checkpoint=restored)
+                               checkpoint=path, completed=restored)
         assert resumed == reference
 
     @staticmethod

@@ -114,6 +114,59 @@ class TestReport:
         assert "Figure 7 (top)" in capsys.readouterr().out
 
 
+class TestReportCheckpointWiring:
+    """``report --checkpoint/--resume`` keeps its progress in a fabric
+    checkpoint that ``fabric status`` can read."""
+
+    ARGS = ["report", "--benchmarks", "mcf", "--scale", "0.05",
+            "--no-cache", "--experiments", "fig7_ratio,fig6_top"]
+
+    def test_interrupted_report_resumes_from_its_checkpoint(
+            self, tmp_path, capsys, monkeypatch):
+        import json
+        import os
+
+        from repro.harness import report as report_mod
+
+        monkeypatch.delenv("REPRO_FABRIC_STORE", raising=False)
+        path = str(tmp_path / "ck.json")
+        real = report_mod._render_section
+
+        def dying(name, suite):
+            if name == "fig6_top":
+                raise KeyboardInterrupt("killed mid-report")
+            return real(name, suite)
+
+        monkeypatch.setattr(report_mod, "_render_section", dying)
+        with pytest.raises(KeyboardInterrupt):
+            main(self.ARGS + ["--checkpoint", path])
+        capsys.readouterr()
+
+        assert main(["fabric", "status", "--checkpoint", path,
+                     "--json"]) == 0
+        header = json.loads(capsys.readouterr().out)["checkpoint"]
+        assert header["driver"] == "report"
+        assert header["verified"] is True
+        assert header["completed"] == 1
+
+        def no_recompute(name, suite):
+            assert name != "fig7_ratio", "checkpointed section recomputed"
+            return real(name, suite)
+
+        monkeypatch.setattr(report_mod, "_render_section", no_recompute)
+        resumed = tmp_path / "resumed.md"
+        assert main(self.ARGS + ["--resume", "--checkpoint", path,
+                                 "-o", str(resumed)]) == 0
+        assert "resuming: 1 experiment(s) restored" in \
+            capsys.readouterr().err
+        assert not os.path.exists(path)
+
+        monkeypatch.setattr(report_mod, "_render_section", real)
+        reference = tmp_path / "reference.md"
+        assert main(self.ARGS + ["-o", str(reference)]) == 0
+        assert resumed.read_text() == reference.read_text()
+
+
 class TestJsonOutput:
     """``--json`` variants of the inspection subcommands (scripting)."""
 

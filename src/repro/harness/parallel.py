@@ -57,6 +57,7 @@ from repro.harness.runner import (
     trace_replay,
 )
 from repro.harness.trace_cache import (
+    LazyTrace,
     TraceCache,
     deserialize_trace,
     serialize_trace,
@@ -122,20 +123,27 @@ class TaskResults(dict):
         self.failures: List[TaskFailure] = []
 
 
+def _task_result(task: TraceTask, configs: Sequence[MachineConfig],
+                 cache: Optional[TraceCache], max_steps: int):
+    """(trace, {config_repr: CycleResult}) for one task, computed in this
+    process through ``cache``."""
+    trace = installation_trace(build_installation(task), cache, max_steps)
+    cycles = {repr(config): trace_replay(trace, config, cache)
+              for config in configs}
+    return trace, cycles
+
+
 def _run_task(task: TraceTask, configs: Sequence[MachineConfig],
               cache_root: Optional[str], max_steps: int, trace_ctx=None):
-    """Produce (digest, trace_bytes, {config_repr: CycleResult}, metrics,
-    spans) for one task.  Runs in a worker process, but is equally
-    callable in-process — that is the serial fallback path.
+    """Pool worker entry point: (digest, trace_bytes, {config_repr:
+    CycleResult}, metrics, spans) for one task.
 
     ``trace_bytes`` is ``None`` when the trace is in the persistent cache
     (a hit, or stored by this call): the parent reads it from there lazily
-    instead of taking it through the pipe.
+    (:func:`_worker_trace`) instead of taking it through the pipe.
 
     ``metrics`` is the registry *delta* this call produced (or ``None``
-    with telemetry off).  Pool callers merge it into the parent registry;
-    in-process callers discard it — their metrics already landed in the
-    parent's registry directly, and merging would double-count.
+    with telemetry off), for the parent to merge into its registry.
 
     ``trace_ctx`` is an optional propagated trace context
     (:mod:`repro.telemetry.tracing`); when tracing is on, the task runs
@@ -151,14 +159,25 @@ def _run_task(task: TraceTask, configs: Sequence[MachineConfig],
         return out[:4] + (list(session.records),)
     tm_before = _telemetry.snapshot() if _telemetry.enabled() else None
     cache = TraceCache(cache_root) if cache_root else None
-    trace = installation_trace(build_installation(task), cache, max_steps)
-    cycles = {repr(config): trace_replay(trace, config, cache)
-              for config in configs}
+    trace, cycles = _task_result(task, configs, cache, max_steps)
     stored = cache is not None and trace.cache_key is not None
     tm_delta = (_telemetry.snapshot_delta(tm_before, _telemetry.snapshot())
                 if tm_before is not None else None)
     return (trace.cache_key, None if stored else serialize_trace(trace),
             cycles, tm_delta, None)
+
+
+def _worker_trace(task: TraceTask, digest: Optional[str],
+                  trace_bytes: Optional[bytes],
+                  cache: Optional[TraceCache], max_steps: int):
+    """The trace a worker produced: the bytes it sent, or a lazy reference
+    to the cache entry it stored under ``digest``."""
+    if trace_bytes is None:
+        return LazyTrace(cache, digest, recompute=lambda: installation_trace(
+            build_installation(task), None, max_steps))
+    trace = deserialize_trace(trace_bytes)
+    trace.cache_key = digest
+    return trace
 
 
 def _cached_replays(trace, configs: Sequence[MachineConfig],
@@ -245,10 +264,7 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
         return time.monotonic() - start if start is not None else 0.0
 
     # Warm check: a task whose trace and every requested replay are in the
-    # cache is answered here, lazily, without a worker.  The installations
-    # of the rest are kept to read their traces back once a worker has
-    # stored them.
-    installations = {}
+    # cache is answered here, lazily, without a worker.
     if cache is not None:
         images: Dict[Tuple, object] = {}
         for task, configs in list(merged.items()):
@@ -257,13 +273,12 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
             if image_key not in images:
                 images[image_key] = generate_benchmark(
                     get_profile(task.bench), scale=task.scale)
-            installation = build_installation(task, images[image_key])
-            trace = installation_trace(installation, cache, max_steps,
-                                       compute=False)
+            trace = installation_trace(
+                build_installation(task, images[image_key]), cache,
+                max_steps, compute=False)
             cycles = (None if trace is None
                       else _cached_replays(trace, configs, cache))
             if cycles is None:
-                installations[task] = installation
                 continue
             results[task] = (trace.cache_key, trace, cycles)
             del merged[task]
@@ -271,21 +286,11 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
         if not merged:
             return results
 
-    def finish(task, digest, trace_bytes, cycles):
-        if trace_bytes is None:
-            trace = installation_trace(installations[task], cache, max_steps)
-        else:
-            trace = deserialize_trace(trace_bytes)
-            trace.cache_key = digest
-        return digest, trace, cycles
-
     if jobs <= 1 or len(merged) <= 1:
         for task, configs in merged.items():
             begin_attempt(task)
-            digest, trace_bytes, cycles, _, _ = _run_task(
-                task, configs, cache_root, max_steps
-            )
-            results[task] = finish(task, digest, trace_bytes, cycles)
+            trace, cycles = _task_result(task, configs, cache, max_steps)
+            results[task] = (trace.cache_key, trace, cycles)
             _record_task(task, task_elapsed(task), 1, "ok")
         return results
 
@@ -312,7 +317,8 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
                 _telemetry.get_registry().merge(tm_delta)
             if spans:
                 _events.emit_remote_spans(spans)
-            results[task] = finish(task, digest, trace_bytes, cycles)
+            results[task] = (digest, _worker_trace(task, digest, trace_bytes,
+                                                   cache, max_steps), cycles)
             _record_task(task, outcome.elapsed, outcome.attempts, "ok")
         elif outcome.status == "timeout":
             error = TaskTimeoutError(
@@ -350,9 +356,7 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
     for task, configs in failed:
         begin_attempt(task)
         try:
-            digest, trace_bytes, cycles, _, _ = _run_task(
-                task, configs, cache_root, max_steps
-            )
+            trace, cycles = _task_result(task, configs, cache, max_steps)
         except Exception as exc:
             error = WorkerCrashError(
                 f"serial fallback failed: {type(exc).__name__}: {exc}",
@@ -369,6 +373,6 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
                 "(see results.failures)", task, type(exc).__name__, exc,
             )
             continue
-        results[task] = finish(task, digest, trace_bytes, cycles)
+        results[task] = (trace.cache_key, trace, cycles)
         _record_task(task, task_elapsed(task), retries + 2, "fallback")
     return results

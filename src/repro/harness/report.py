@@ -10,9 +10,9 @@ edited checkpoint is quarantined rather than served on resume.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
-from repro.fabric.checkpoint import write_checkpoint
+from repro.fabric.checkpoint import load_checkpoint, write_checkpoint
 from repro.harness.config import render_config_table
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.runner import Suite
@@ -93,23 +93,29 @@ def build_report(suite: Optional[Suite] = None,
                  experiments: Optional[Sequence[str]] = None,
                  title="DISE reproduction — measured results",
                  checkpoint: Optional[str] = None,
-                 completed: Optional[Dict[str, str]] = None) -> str:
+                 resume: bool = False,
+                 on_resume: Optional[Callable[[int], None]] = None) -> str:
     """Run experiments and render one markdown report.
 
-    ``completed`` maps experiment ids to sections already rendered — what
-    :func:`~repro.fabric.checkpoint.load_checkpoint` restores from a
-    ``checkpoint`` under driver :data:`REPORT_DRIVER` and
-    :func:`report_fingerprint` — and those are served instead of
-    recomputed.  With a ``checkpoint`` path, the completed table is
-    rewritten there (:func:`~repro.fabric.checkpoint.write_checkpoint`)
-    after every fresh section, so an interrupted report run resumes where
-    it died.  The file stays behind; the caller removes it once the report
-    is safely written.
+    With a ``checkpoint`` path, every freshly rendered section is saved
+    there (:func:`~repro.fabric.checkpoint.write_checkpoint`, driver
+    :data:`REPORT_DRIVER`) as soon as it completes, so an interrupted run
+    can continue where it died.  With ``resume``, the sections the
+    checkpoint holds are served instead of recomputed, and
+    ``on_resume(count)`` is called when there is at least one; a
+    checkpoint written for other benchmarks, scale or experiments raises
+    :class:`~repro.errors.CheckpointError`, and an unreadable or edited
+    one is quarantined and its sections recomputed.  The file stays
+    behind; the caller removes it once the report is safely written.
     """
     suite = suite or Suite()
     names = list(experiments or ALL_EXPERIMENTS)
     fingerprint = report_fingerprint(suite, names)
-    completed = dict(completed or {})
+    completed: Dict[str, str] = {}
+    if checkpoint is not None and resume:
+        completed = load_checkpoint(checkpoint, REPORT_DRIVER, fingerprint)
+        if completed and on_resume is not None:
+            on_resume(len(completed))
     parts = [f"# {title}", "", "```", render_config_table(), "```", ""]
     for name in names:
         section = completed.get(name)

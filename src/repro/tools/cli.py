@@ -194,32 +194,24 @@ def cmd_experiment(args):
 
 def cmd_report(args):
     """``report``: run experiments and emit a markdown report."""
-    from repro.fabric.checkpoint import load_checkpoint
-    from repro.harness.report import (
-        REPORT_DRIVER,
-        build_report,
-        report_fingerprint,
-    )
+    from repro.harness.report import build_report
 
     suite = _suite_from_args(args)
     experiments = (
         tuple(args.experiments.split(",")) if args.experiments else None
     )
     checkpoint = None
-    completed = {}
     if args.checkpoint or args.resume:
         checkpoint = args.checkpoint or ".repro-report-checkpoint.json"
-        if args.resume:
-            completed = load_checkpoint(
-                checkpoint, REPORT_DRIVER,
-                report_fingerprint(suite, experiments),
-            )
-            if completed:
-                print(f"resuming: {len(completed)} experiment(s) restored "
-                      f"from {checkpoint}", file=sys.stderr)
+
+    def resuming(restored):
+        print(f"resuming: {restored} experiment(s) restored from "
+              f"{checkpoint}", file=sys.stderr)
+
     with _telemetry_run(args):
         report = build_report(suite, experiments=experiments,
-                              checkpoint=checkpoint, completed=completed)
+                              checkpoint=checkpoint, resume=args.resume,
+                              on_resume=resuming)
     if checkpoint is not None:
         Path(checkpoint).unlink(missing_ok=True)
     if args.output:

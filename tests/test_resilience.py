@@ -182,10 +182,11 @@ class TestReportCheckpoint:
         # suite that could not recompute it — and renders identically.
         broken = Suite(benchmarks=("nonsense",), scale=SCALE, cache=None)
         broken.benchmarks = ("mcf",)   # fingerprint-compatible, unusable
-        restored = load_checkpoint(path, REPORT_DRIVER, fingerprint)
-        assert len(restored) == 1
+        restored = []
         resumed = build_report(broken, experiments=self.EXPS,
-                               checkpoint=path, completed=restored)
+                               checkpoint=path, resume=True,
+                               on_resume=restored.append)
+        assert restored == [1]
         assert resumed == reference
 
     def test_fingerprint_mismatch_refuses(self, tmp_path):
@@ -195,10 +196,8 @@ class TestReportCheckpoint:
                          report_fingerprint(suite, self.EXPS),
                          {"fig6_top": "## stale section"})
         with pytest.raises(CheckpointError):
-            load_checkpoint(
-                path, REPORT_DRIVER,
-                report_fingerprint(suite, ("fig6_top", "fig6_width")),
-            )
+            build_report(suite, experiments=("fig6_top", "fig6_width"),
+                         checkpoint=path, resume=True)
 
     def test_corrupt_checkpoint_quarantined(self, tmp_path):
         # A truncated/bit-flipped checkpoint must not kill the resume:
@@ -241,7 +240,6 @@ class TestReportCheckpoint:
         # the checkpoint's content digest: it is quarantined and
         # recomputed, never served.
         suite = self._suite()
-        fingerprint = report_fingerprint(suite, self.EXPS)
         path = tmp_path / "ck.json"
         reference = build_report(suite, experiments=self.EXPS,
                                  checkpoint=str(path))
@@ -256,11 +254,12 @@ class TestReportCheckpoint:
         payload["completed"]["fig6_top"] = section.replace(row, edited)
         path.write_text(json.dumps(payload, sort_keys=True, indent=2))
 
-        restored = load_checkpoint(str(path), REPORT_DRIVER, fingerprint)
-        assert restored == {}
-        assert (tmp_path / "ck.json.quarantined").exists()
+        restored = []
         resumed = build_report(self._suite(), experiments=self.EXPS,
-                               checkpoint=str(path), completed=restored)
+                               checkpoint=str(path), resume=True,
+                               on_resume=restored.append)
+        assert restored == []
+        assert (tmp_path / "ck.json.quarantined").exists()
         assert resumed == reference
 
 
@@ -299,9 +298,8 @@ class TestKilledWorkerResume:
         assert len(load_checkpoint(path, REPORT_DRIVER, fingerprint)) == 1
 
         # Run 2 resumes: only the unfinished experiment is recomputed.
-        restored = load_checkpoint(path, REPORT_DRIVER, fingerprint)
         resumed = build_report(self._fresh(), experiments=exps,
-                               checkpoint=path, completed=restored)
+                               checkpoint=path, resume=True)
         assert resumed == reference
 
     @staticmethod

@@ -9,8 +9,8 @@ Usage:
 
 The optional second argument selects benchmarks (comma-separated); the
 third scales the workloads' dynamic length.  Full runs over all twelve
-benchmarks take several minutes; `pytest benchmarks/ --benchmark-only`
-drives the same code with shape assertions.
+benchmarks take several minutes; `repro-cli experiment all --check` runs
+the same experiments and checks the paper's claims on each table.
 """
 
 import sys

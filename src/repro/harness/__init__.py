@@ -1,5 +1,6 @@
 """Experiment harness: workload suites, per-figure experiments, tables."""
 
+from repro.harness.claims import CLAIMS
 from repro.harness.config import render_config_table
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
@@ -8,6 +9,9 @@ from repro.harness.experiments import (
     RT_CONFIGS,
     RT_CONFIGS_COMPOSED,
     WIDTHS,
+    ablation_placement,
+    ablation_predict,
+    ablation_rt_block,
     fig6_cache,
     fig6_top,
     fig6_width,
@@ -25,7 +29,6 @@ from repro.harness.parallel import (
     run_tasks,
 )
 from repro.harness.report import (
-    PAPER_CLAIMS,
     build_report,
     report_fingerprint,
     table_to_markdown,
@@ -42,6 +45,7 @@ from repro.harness.trace_cache import (
 )
 
 __all__ = [
+    "CLAIMS",
     "render_config_table",
     "ALL_EXPERIMENTS",
     "CACHE_LABELS",
@@ -49,6 +53,9 @@ __all__ = [
     "RT_CONFIGS",
     "RT_CONFIGS_COMPOSED",
     "WIDTHS",
+    "ablation_placement",
+    "ablation_predict",
+    "ablation_rt_block",
     "fig6_cache",
     "fig6_top",
     "fig6_width",
@@ -58,7 +65,6 @@ __all__ = [
     "fig8_perf",
     "fig8_rt",
     "run_experiment",
-    "PAPER_CLAIMS",
     "build_report",
     "report_fingerprint",
     "table_to_markdown",

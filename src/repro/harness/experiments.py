@@ -2,14 +2,17 @@
 
 Each ``fig*`` function regenerates the data behind one of the paper's
 figures as a :class:`~repro.harness.tables.ResultTable` whose rows are the
-SPECint benchmarks and whose columns are the figure's bars/series.
+SPECint benchmarks and whose columns are the figure's bars/series; each
+``ablation_*`` function does the same for one of this model's own design
+choices.  :mod:`repro.harness.claims` holds the checks over each table.
 
 Conventions (matching Section 4):
 
 * Execution times are normalized to the unmodified program on the baseline
   machine (4-wide, 32 KB I/D caches, 1 MB L2).
 * After Section 4.1's design discussion, DISE runs use the elongated-pipe
-  placement; the ``free``/``stall`` options appear only in Figure 6 (top).
+  placement; the ``free``/``stall`` options appear only in Figure 6 (top)
+  and the placement ablation.
 * The dedicated decompressor baseline is modelled as a DISE engine with
   free placement and a perfect RT (its dictionary is dedicated on-chip
   SRAM), which is exactly how the two mechanisms correspond physically.
@@ -17,7 +20,7 @@ Conventions (matching Section 4):
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.acf.compression import DISE_OPTIONS, FIGURE7_VARIANTS
 from repro.core.config import DiseConfig
@@ -55,13 +58,17 @@ RT_CONFIGS_COMPOSED = tuple(
 
 def _machine(il1_size=32 * KB, width=4, placement="pipe",
              rt_entries=2048, rt_assoc=2, rt_perfect=True,
-             simple_miss=30, compose_miss=150) -> MachineConfig:
+             simple_miss=30, compose_miss=150, rt_block=1,
+             predict_replacement=True) -> MachineConfig:
     dise = DiseConfig(
         placement=placement, rt_entries=rt_entries, rt_assoc=rt_assoc,
         rt_perfect=rt_perfect, simple_miss_cycles=simple_miss,
-        compose_miss_cycles=compose_miss,
+        compose_miss_cycles=compose_miss, rt_block_size=rt_block,
     )
-    return MachineConfig(width=width, dise=dise).with_il1_size(il1_size)
+    return MachineConfig(
+        width=width, dise=dise,
+        predict_replacement_branches=predict_replacement,
+    ).with_il1_size(il1_size)
 
 
 def _baseline_cycles(suite: Suite, bench: str, il1_size=32 * KB,
@@ -349,7 +356,77 @@ def fig8_rt(suite: Suite) -> ResultTable:
     return table
 
 
-#: Experiment id -> builder, for the CLI and the benchmark harness.
+# ----------------------------------------------------------------------
+# Ablations of this reproduction's own design choices (DESIGN.md): not
+# figures of the paper, but the places where this model makes a choice
+# the paper leaves open.  Each replays the DISE-decompressed trace under
+# a few machine configurations, normalized to the uncompressed program.
+# ----------------------------------------------------------------------
+def _decompression_ablation(suite: Suite, title: str,
+                            configs: Sequence[Tuple[str, MachineConfig]]
+                            ) -> ResultTable:
+    plan = [(suite.task("plain", bench), [_machine(placement="free")])
+            for bench in suite.benchmarks]
+    plan += [(suite.task("compressed", bench, label="DISE",
+                         options=DISE_OPTIONS),
+              [config for _, config in configs])
+             for bench in suite.benchmarks]
+    suite.prefetch(plan)
+    table = ResultTable(title, [label for label, _ in configs])
+    for bench in suite.benchmarks:
+        base = _baseline_cycles(suite, bench)
+        trace = suite.trace_compressed(bench, DISE_OPTIONS, "DISE")
+        for label, config in configs:
+            table.set(bench, label, suite.cycles(trace, config).cycles / base)
+    return table
+
+
+def ablation_predict(suite: Suite) -> ResultTable:
+    """Replacement-branch prediction: the paper's conservative design
+    treats non-trigger replacement branches as predicted not-taken; this
+    model optionally lets the predictor learn them via the PC:DISEPC pair,
+    which matters for decompressed code (compressed loop back-edges live
+    inside replacement sequences)."""
+    return _decompression_ablation(
+        suite,
+        "Ablation: predicting non-trigger replacement branches "
+        "(decompressed execution, normalized to uncompressed)",
+        [("predicted", _machine()),
+         ("not-taken", _machine(predict_replacement=False))],
+    )
+
+
+def ablation_placement(suite: Suite) -> ResultTable:
+    """Engine placement on decompression: the counterpart of Figure 6's
+    MFI placement study."""
+    return _decompression_ablation(
+        suite,
+        "Ablation: engine placement on decompression "
+        "(normalized to uncompressed)",
+        [(placement, _machine(placement=placement))
+         for placement in ("free", "stall", "pipe")],
+    )
+
+
+def ablation_rt_block(suite: Suite) -> ResultTable:
+    """Section 2.2's RT block coalescing: read ports vs fragmentation.
+
+    At a constrained (512-entry, 2-way) RT, larger blocks fragment the
+    short decompression sequences and cost effective capacity.  (2-way
+    keeps direct-mapped conflict-hash luck from obscuring the capacity
+    effect.)"""
+    return _decompression_ablation(
+        suite,
+        "Ablation: RT block coalescing at 512 entries, 2-way "
+        "(decompressed execution, normalized to uncompressed)",
+        [(f"block={block}", _machine(rt_entries=512, rt_assoc=2,
+                                     rt_perfect=False, rt_block=block))
+         for block in (1, 2, 4)],
+    )
+
+
+#: Experiment id -> builder, for the CLI, reports and the claim checks
+#: (:mod:`repro.harness.claims`).
 ALL_EXPERIMENTS = {
     "fig6_top": fig6_top,
     "fig6_cache": fig6_cache,
@@ -359,6 +436,9 @@ ALL_EXPERIMENTS = {
     "fig7_rt": fig7_rt,
     "fig8_perf": fig8_perf,
     "fig8_rt": fig8_rt,
+    "ablation_predict": ablation_predict,
+    "ablation_placement": ablation_placement,
+    "ablation_rt_block": ablation_rt_block,
 }
 
 

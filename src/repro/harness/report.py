@@ -13,34 +13,13 @@ import json
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.fabric.checkpoint import load_checkpoint, write_checkpoint
+from repro.harness.claims import CLAIMS
 from repro.harness.config import render_config_table
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.runner import Suite
 from repro.harness.tables import ResultTable
 from repro.telemetry import events as _events
 from repro.telemetry import registry as _telemetry
-
-#: Figure id -> the paper's one-line qualitative claim, for side-by-side
-#: reading in the generated report.
-PAPER_CLAIMS = {
-    "fig6_top": "DISE MFI beats binary rewriting; DISE3 beats DISE4; "
-                "per-expansion stalls cost more than an extra pipe stage.",
-    "fig6_cache": "Rewriting's static (I-cache) cost grows as the cache "
-                  "shrinks; DISE only pays the dynamic cost.",
-    "fig6_width": "Wider machines absorb DISE's dynamic cost; rewriting "
-                  "keeps its static cost.",
-    "fig7_ratio": "Parameterization and branch compression let DISE "
-                  "out-compress the dedicated decompressor (65% vs 75%).",
-    "fig7_perf": "Decompression is ~free at 32KB and compensates for "
-                 "small instruction caches.",
-    "fig7_rt": "A 2K 2-way RT (nearly) matches perfect; 512 entries hurt "
-               "large production working sets.",
-    "fig8_perf": "dise+dise wins; rewriting-based compositions suffer, "
-                 "especially at small caches.",
-    "fig8_rt": "Composition inflates RT working sets; the 150-cycle "
-               "composing miss handler costs factors more (5x the norm at "
-               "2K 2-way).",
-}
 
 
 def table_to_markdown(table: ResultTable) -> str:
@@ -65,10 +44,9 @@ def table_to_markdown(table: ResultTable) -> str:
 def _render_section(name: str, suite: Suite) -> str:
     table = ALL_EXPERIMENTS[name](suite)
     parts = [f"## {table.title}", ""]
-    claim = PAPER_CLAIMS.get(name)
-    if claim:
-        parts.append(f"*Paper:* {claim}")
-        parts.append("")
+    claim = CLAIMS[name]
+    parts.append(f"*{claim.source}:* {claim.text}")
+    parts.append("")
     parts.append(table_to_markdown(table))
     parts.append("")
     return "\n".join(parts)

@@ -60,7 +60,7 @@ class MachineConfig:
     #: gshare predictor (indexed by PC:DISEPC).  The paper's conservative
     #: design treats them as predicted not-taken (a taken one costs a full
     #: refill); an implementation could instead let the BTB/predictor learn
-    #: the codeword PC.  Default True; ``benchmarks/bench_ablation.py``
+    #: the codeword PC.  Default True; the ``ablation_predict`` experiment
     #: quantifies the difference.
     predict_replacement_branches: bool = True
 

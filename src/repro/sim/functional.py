@@ -657,8 +657,8 @@ class Machine:
         self._translated = dispatch == "translated"
         # Telemetry and verification observers are wired at construction
         # time: when absent, no wrapper is installed and the dispatch path
-        # is identical to the uninstrumented machine (bench_telemetry.py
-        # asserts this).
+        # is identical to the uninstrumented machine (tests/test_telemetry.py
+        # and tests/test_verify.py assert this).
         self._opcode_counts: Optional[Dict[Opcode, int]] = None
         self._tm_prev: Optional[dict] = None
         self._observer = None

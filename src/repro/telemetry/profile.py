@@ -12,9 +12,9 @@ hot.  This profiler attributes retirement counts to:
 * **productions** — DISE-injected instructions per production (``seq<N>``).
 
 Attribution is block-granular on the fast tiers (one dict bump per
-superblock execution, not per instruction), so the enabled-mode overhead
-on a warm translated run stays under the 10% budget pinned in
-``benchmarks/bench_telemetry.py``.  Like everything in
+superblock execution, not per instruction), and on the translated tier
+the hooks live in the superblock runner, so dispatch stays the unwrapped
+bound method (``tests/test_tracing.py`` pins this).  Like everything in
 :mod:`repro.telemetry`, it is opt-in (``REPRO_TRACE_PROFILE``) and gated
 at machine construction: with the profiler off, no hook exists on the
 dispatch path and the structural disabled-mode contract of PR 3 holds.

@@ -21,8 +21,8 @@ Design goals, in priority order:
    the work performed, which is what ``tests/test_telemetry.py`` pins.
 
 Snapshots are plain JSON-compatible dicts (``name -> {"type": ..., ...}``)
-so they can be embedded in event logs, ``BENCH_*.json`` and harness
-reports, merged across worker processes, and diffed between runs.
+so they can be embedded in event logs and harness reports, merged
+across worker processes, and diffed between runs.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ The design mirrors :mod:`repro.telemetry.registry`:
 
 * collection is opt-in (``REPRO_TRACE``) and gated at *setup* time — with
   tracing off, span emission is byte-identical to PR 3 and the simulator
-  dispatch path stays structurally unwrapped (``bench_telemetry.py`` pins
-  this);
+  dispatch path stays structurally unwrapped (``tests/test_tracing.py``
+  pins this);
 * the **trace id is the run id** — one run, one trace, no coordination;
 * span ids are ``<pid>.<counter>`` strings: unique within a run without
   any cross-process allocation, and never compared for ordering;

@@ -171,7 +171,10 @@ def _suite_from_args(args):
 
 
 def cmd_experiment(args):
-    """``experiment``: regenerate one (or all) paper figures."""
+    """``experiment``: regenerate one (or all) paper figures; with
+    ``--check``, evaluate each table's claim checks and exit 1 if any
+    fails."""
+    from repro.harness.claims import check_table, render_summary
     from repro.telemetry import span
 
     suite = _suite_from_args(args)
@@ -179,6 +182,7 @@ def cmd_experiment(args):
         print(render_config_table())
         print()
     names = list(ALL_EXPERIMENTS) if args.name == "all" else [args.name]
+    results = []
     with _telemetry_run(args):
         for name in names:
             if name not in ALL_EXPERIMENTS:
@@ -187,8 +191,18 @@ def cmd_experiment(args):
                     f"{sorted(ALL_EXPERIMENTS)} or 'all'"
                 )
             with span("experiment", experiment=name):
-                print(ALL_EXPERIMENTS[name](suite).render())
+                table = ALL_EXPERIMENTS[name](suite)
+                print(table.render())
+            if args.check:
+                checked = check_table(name, table)
+                print()
+                for result in checked:
+                    print(f"  {result.render()}")
+                results += checked
             print()
+    if args.check:
+        print(render_summary(results))
+        return 0 if all(result.passed for result in results) else 1
     return 0
 
 
@@ -767,7 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("experiment", help="regenerate a paper figure")
-    p.add_argument("name", help="fig6_top .. fig8_rt, or 'all'")
+    p.add_argument("name", help="fig6_top .. fig8_rt, ablation_*, or "
+                   "'all'")
     p.add_argument("--benchmarks", help="comma-separated subset")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--config", action="store_true",
@@ -776,6 +791,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel workers (default: REPRO_JOBS or 1)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the persistent trace cache")
+    p.add_argument("--check", action="store_true",
+                   help="evaluate the paper's claims on each table and "
+                   "exit 1 if any check fails (they hold for all 12 "
+                   "profiles at scale 1.0, the defaults)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report",

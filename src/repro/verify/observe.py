@@ -6,7 +6,7 @@ dynamic instruction into a rolling sha256.  Two runs are observation-
 equivalent under a projection iff their digests (and observation counts)
 match.  Like telemetry, the hook is wired at construction time: a machine
 built without an observer keeps the bare dispatch path, byte-identical to
-an uninstrumented machine (``bench_telemetry.py`` pins this).
+an uninstrumented machine (``tests/test_verify.py`` pins this).
 
 Observations are *recomputed after execution* from architectural state,
 which is safe for this ISA: a store never writes a register, so its

@@ -42,8 +42,8 @@ def traces():
 
 
 def config_grid():
-    """The axes the figures sweep: placements, widths, RT geometries,
-    perfect/real caches."""
+    """The axes the figures and ablations sweep: placements, widths, RT
+    geometries, perfect/real caches, replacement-branch prediction."""
     base = MachineConfig()
     grid = [("base", base)]
     for placement in ("free", "stall", "pipe"):
@@ -53,11 +53,15 @@ def config_grid():
         grid.append((f"width-{width}", base.with_changes(width=width)))
     grid.append(("rt-tiny", MachineConfig(
         dise=DiseConfig(placement="pipe", rt_entries=4, rt_assoc=1))))
+    grid.append(("rt-64", MachineConfig(
+        dise=DiseConfig(rt_entries=64, rt_assoc=1))))
     grid.append(("rt-perfect", MachineConfig(
         dise=DiseConfig(placement="pipe", rt_perfect=True))))
     grid.append(("il1-4k", base.with_il1_size(4 * KB)))
     grid.append(("perfect-caches", base.with_changes(
         il1=None, dl1=None, l2=None)))
+    grid.append(("no-predict-replacement", base.with_changes(
+        predict_replacement_branches=False)))
     return grid
 
 

@@ -18,6 +18,7 @@ from repro.faults.campaign import (
     CampaignInterrupted,
     run_campaign,
 )
+from repro.telemetry import enabled_scope, snapshot, snapshot_delta
 from repro.verify.campaign import VerifyConfig, run_verification
 
 FAULTS = CampaignConfig(seed=11, faults=6, benchmarks=("gzip",),
@@ -157,12 +158,32 @@ class TestArtifactCorruption:
         assert _bytes(report) == _bytes(faults_oracle)
         assert store.stats()["quarantined"]["entries"] == 2
 
-    def test_cross_campaign_dedupe_preserves_bytes(self, tmp_path,
-                                                   verify_oracle):
+    def test_cross_campaign_dedupe_preserves_bytes(
+            self, tmp_path, faults_oracle, verify_oracle):
+        # A faults + verify pair against one store, cold then warm: the
+        # warm pair serves every cell from the store, byte-identically.
         store = ArtifactStore(tmp_path / "store")
-        run_verification(VERIFY, fabric_options={"store": store})
-        served = run_verification(VERIFY, fabric_options={"store": store})
-        assert _bytes(served) == _bytes(verify_oracle)
+        options = {"store": store}
+
+        def pair():
+            with enabled_scope(True):
+                before = snapshot()
+                reports = (run_campaign(FAULTS, fabric_options=options),
+                           run_verification(VERIFY, fabric_options=options))
+                delta = snapshot_delta(before, snapshot())
+            counts = {kind: delta.get(f"fabric.dedupe.{kind}",
+                                      {}).get("value", 0)
+                      for kind in ("hits", "misses")}
+            return reports, counts
+
+        cold_reports, cold = pair()
+        warm_reports, warm = pair()
+        cells = FAULTS.faults + len(VERIFY.cells())
+        assert cold["hits"] == 0
+        assert warm == {"hits": cells, "misses": 0}
+        for reports in (cold_reports, warm_reports):
+            assert _bytes(reports[0]) == _bytes(faults_oracle)
+            assert _bytes(reports[1]) == _bytes(verify_oracle)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Tests for the experiment harness: tables, suite caching, experiments."""
 
+import math
+
 import pytest
 
+from repro.core.config import DiseConfig
 from repro.harness import (
     ALL_EXPERIMENTS,
+    CLAIMS,
     ResultTable,
     Suite,
     render_config_table,
     run_experiment,
 )
 from repro.harness.experiments import _machine
+from repro.sim.config import KB, MachineConfig
 
 
 class TestResultTable:
@@ -58,6 +63,22 @@ class TestConfigTable:
         assert "32 KB" in text
         assert "16 KB" in text   # RT
         assert "flush + 30 cycles" in text
+        assert "32 entries" in text   # PT
+        # The paper's Section 4 parameters are the defaults.
+        machine = MachineConfig()
+        dise: DiseConfig = machine.dise
+        assert machine.width == 4
+        assert machine.pipeline_stages == 12
+        assert machine.rob_entries == 128
+        assert machine.rs_entries == 80
+        assert machine.il1.size_bytes == 32 * KB
+        assert machine.dl1.size_bytes == 32 * KB
+        assert machine.l2.size_bytes == 1024 * KB
+        assert dise.pt_entries == 32
+        assert dise.rt_entries == 2048
+        assert dise.rt_bytes == 16 * KB
+        assert dise.simple_miss_cycles == 30
+        assert dise.compose_miss_cycles == 150
 
 
 class TestSuite:
@@ -89,6 +110,7 @@ class TestSuite:
             "fig6_top", "fig6_cache", "fig6_width",
             "fig7_ratio", "fig7_perf", "fig7_rt",
             "fig8_perf", "fig8_rt",
+            "ablation_predict", "ablation_placement", "ablation_rt_block",
         }
 
 
@@ -106,6 +128,13 @@ class TestExperimentsOnTinySuite:
         for column in table.columns:
             value = table.get("mcf", column)
             assert value is not None and value > 0, (name, column)
+        # Every claim check reads columns the table has and evaluates to
+        # finite sides and margin (the verdict may differ on one profile).
+        for check in CLAIMS[name].checks:
+            assert set(check.columns) <= set(table.columns), check.id
+            result = check.evaluate(table)
+            assert all(math.isfinite(value) for value in
+                       (result.left, result.right, result.margin)), result
 
     def test_run_experiment_wrapper(self):
         table = run_experiment("fig7_ratio", benchmarks=("mcf",), scale=0.2)

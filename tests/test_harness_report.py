@@ -1,10 +1,14 @@
-"""Tests for the markdown report generator."""
+"""Tests for the markdown report generator and the claim table."""
+
+from pathlib import Path
 
 import pytest
 
-from repro.harness import Suite, build_report, table_to_markdown
-from repro.harness.report import PAPER_CLAIMS
+from repro.harness import CLAIMS, Suite, build_report, table_to_markdown
 from repro.harness.tables import ResultTable
+
+EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+CHECKS = [check for claim in CLAIMS.values() for check in claim.checks]
 
 
 class TestTableMarkdown:
@@ -32,7 +36,19 @@ class TestReport:
     def test_claims_cover_all_experiments(self):
         from repro.harness import ALL_EXPERIMENTS
 
-        assert set(PAPER_CLAIMS) == set(ALL_EXPERIMENTS)
+        assert set(CLAIMS) == set(ALL_EXPERIMENTS)
+        for name, claim in CLAIMS.items():
+            assert claim.text and claim.checks, name
+            for check in claim.checks:
+                assert check.id.startswith(f"{name}."), check.id
+        ids = [check.id for check in CHECKS]
+        assert len(ids) == len(set(ids))
+
+    def test_every_check_named_in_experiments_md(self):
+        text = EXPERIMENTS_MD.read_text()
+        missing = [check.id for check in CHECKS
+                   if f"`{check.id}`" not in text]
+        assert not missing
 
     def test_report_contents(self):
         suite = Suite(benchmarks=("mcf",), scale=0.1)

@@ -44,7 +44,7 @@ from repro.verify.observe import ChainedObserver
 from repro.workloads import generate_by_name
 
 #: The canonical serving spec used throughout: the same workload the CI
-#: smoke job and BENCH_serve.json drive.
+#: serve-smoke job's load generator drives.
 SPEC = {"benchmark": "gzip", "scale": 0.05, "acf": "dise3"}
 
 #: Pinned chained digest of SPEC under the "full" projection.  Anything —

@@ -285,6 +285,9 @@ class TestInstrumentation:
         with enabled_scope(True):
             machine = attach_mfi(build_loop_program(iterations=8),
                                  "dise3").make_machine()
+            # Enabled telemetry installs the counting hooks at setup.
+            assert machine._opcode_counts is not None
+            assert machine.engine._tm is not None
             machine.run(max_steps=10_000)
             machine.result()
         return registry_mod.get_registry().snapshot()

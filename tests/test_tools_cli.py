@@ -91,6 +91,24 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
 
+    def test_check_fails_on_a_claim_one_profile_misses(self, capsys):
+        # On mcf alone DISE4 (2.226) is slower than rewriting (1.969): the
+        # geomean claim holds for the 12 profiles, not for this one.
+        assert main(["experiment", "fig6_top", "--benchmarks", "mcf",
+                     "--scale", "0.05", "--check"]) == 1
+        text = capsys.readouterr().out
+        assert "FAIL fig6_top.dise4_beats_rewrite: DISE4 2.2262 < " \
+               "rewrite 1.9688" in text
+        assert "failed: fig6_top.dise4_beats_rewrite\n" in text
+
+    def test_check_passes(self, capsys):
+        assert main(["experiment", "fig7_ratio", "--benchmarks", "mcf",
+                     "--scale", "0.05", "--check"]) == 0
+        text = capsys.readouterr().out
+        assert "PASS fig7_ratio.dise_beats_dedicated" in text
+        assert "checks: 8/8 passed" in text
+        assert "FAIL" not in text
+
 
 class TestParser:
     def test_parser_builds(self):

@@ -23,6 +23,7 @@ from repro.acf.mfi import attach_mfi, ensure_error_stub
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.harness.parallel import FUNCTIONAL_DISE
 from repro.sim.batch import BatchMachine
+from repro.sim.functional import Machine
 from repro.telemetry import events as events_mod
 from repro.telemetry import profile as profile_mod
 from repro.telemetry import registry as registry_mod
@@ -360,11 +361,16 @@ class TestProfiler:
     def test_off_by_default_no_state(self):
         machine = _loop_machine()
         assert machine._profile is None
+        assert machine._translated
+        assert machine._execute.__func__ is Machine._execute_fast
 
     def test_translated_tier_attributes_blocks_and_triggers(self):
         with profile_mod.profile_scope(True):
             machine = _loop_machine()
             machine.run()
+        # The translated tier's hooks live in the superblock runner, so
+        # dispatch stays the unwrapped bound method.
+        assert machine._execute.__func__ is Machine._execute_fast
         profile = machine._profile
         assert profile["tier"] == "translated"
         assert profile["block"] and profile["trigger"]

@@ -8,8 +8,11 @@ double-run ``full``-projection observation digests to match exactly.
 
 import pytest
 
+from repro.acf.mfi import attach_mfi
+from repro.harness.runner import FUNCTIONAL_DISE, MAX_STEPS
 from repro.verify.campaign import observation_digests
-from repro.workloads import BENCHMARK_NAMES
+from repro.verify.observe import Observer
+from repro.workloads import BENCHMARK_NAMES, generate_by_name
 
 SCALE = 0.02
 
@@ -35,20 +38,45 @@ def test_parallel_digests_match_serial(monkeypatch):
     assert parallel == serial
 
 
+def _mfi_outcomes(tier):
+    """Per profile, the MFI dise3 run's outputs, fault code, retirement
+    and expansion counts and full-projection digest on one tier."""
+    outcomes = {}
+    for name in BENCHMARK_NAMES:
+        observer = Observer("full")
+        installation = attach_mfi(generate_by_name(name, scale=SCALE),
+                                  "dise3")
+        result = installation.run(FUNCTIONAL_DISE, record_trace=False,
+                                  max_steps=MAX_STEPS, observer=observer,
+                                  dispatch=tier)
+        outcomes[name] = (tuple(result.outputs), result.fault_code,
+                          result.instructions, result.expansions,
+                          observer.hexdigest())
+    return outcomes
+
+
 def test_dispatch_tiers_digest_identical(monkeypatch):
     """Translated, fast, and generic dispatch retire bit-identical streams.
 
     The full-projection observation digest covers every retirement's
     architectural effects, so equality here means the superblock
-    translation cache is observationally invisible on all 12 profiles.
+    translation cache is observationally invisible on all 12 profiles,
+    for plain installations and under MFI dise3, whose expansions the
+    translated tier pre-binds.
     """
     digests = {}
+    mfi = {}
     for tier in ("generic", "fast", "translated"):
         monkeypatch.setenv("REPRO_DISPATCH", tier)
         digests[tier] = observation_digests(BENCHMARK_NAMES, scale=SCALE,
                                             jobs=1)
+        mfi[tier] = _mfi_outcomes(tier)
     assert digests["translated"] == digests["fast"]
     assert digests["translated"] == digests["generic"]
+    assert mfi["translated"] == mfi["fast"]
+    assert mfi["translated"] == mfi["generic"]
+    assert all(expansions > 0 for *_, expansions, _digest
+               in mfi["translated"].values())
 
 
 def test_digests_distinguish_profiles():

@@ -9,12 +9,13 @@ bit flip — is quarantined to ``<root>/quarantine/`` and reads as a miss,
 so the fabric recomputes the task instead of serving garbage: the same
 self-healing discipline as :mod:`repro.harness.trace_cache`.
 
-Unlike the trace cache, artifacts are keyed by task *parameters*, not by
-content digests of the inputs — so a stale store could serve results
-computed by an older build.  The store is therefore **opt-in**: set
-``REPRO_FABRIC_STORE`` to a directory (or to ``1``/``on``/``auto`` for a
-``fabric/`` subdirectory of the trace-cache root) to enable cross-campaign
-dedupe, and ``repro-cli fabric gc --all`` after upgrading the simulator.
+Artifacts are keyed by task parameters plus the code fingerprint (see
+:func:`repro.fabric.task.task_key`), so a source edit orphans every entry
+written before it instead of letting the store serve it;
+``repro-cli fabric gc --all`` reclaims the orphans.  The store is
+**opt-in**: set ``REPRO_FABRIC_STORE`` to a directory (or to
+``1``/``on``/``auto`` for a ``fabric/`` subdirectory of the trace-cache
+root) to enable cross-campaign dedupe.
 """
 
 from __future__ import annotations
@@ -163,9 +164,7 @@ class ArtifactStore:
 def default_store_root() -> Optional[Path]:
     """Resolve the store root from ``REPRO_FABRIC_STORE``.
 
-    Returns ``None`` when the store is disabled — which is the default:
-    dedupe keys are task parameters, so persistence across builds is an
-    explicit user decision, not ambient state.
+    Returns ``None`` when the store is disabled, which is the default.
     """
     value = os.environ.get(_ENV_VAR)
     if value is None:

@@ -7,13 +7,15 @@ module (which re-registers the recipe) and rebuild whatever state the
 parameters describe, the same trick :class:`repro.harness.runner
 .TraceTask` uses for figure tasks.
 
-Because the recipe name and parameters *completely determine* the result,
-the pair also serves as the task's identity: :func:`task_key` digests them
-into a :class:`TaskKey`, generalizing the trace cache's
-``production_signature`` keying.  Two campaigns that plan the same subtask
-— a 30-fault and a 45-fault campaign over the same seed, two verify
-sweeps sharing a (benchmark, oracle) cell — produce the same key and
-dedupe against one shared artifact store.
+Because the recipe name and parameters *completely determine* the result
+for a given build of the code, the pair plus the code fingerprint
+(:func:`repro.fingerprint.code_fingerprint`) serves as the task's
+identity: :func:`task_key` digests them, as the trace cache keys a
+figure task by its recipe.  Two campaigns that plan the same subtask —
+a 30-fault and a 45-fault campaign over the same seed, two verify sweeps
+sharing a (benchmark, oracle) cell — produce the same key and dedupe
+against one shared artifact store; after any source edit every key
+changes, so a store never serves a result an older build computed.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import FabricError
+from repro.fingerprint import code_fingerprint
 from repro.telemetry import registry as _tm_registry
 from repro.telemetry import tracing as _tracing
 
@@ -49,9 +52,11 @@ def canonical_params(params: dict) -> str:
 
 
 def task_key(recipe: str, params: dict) -> str:
-    """Content address of one task: sha256 over (schema, recipe, params)."""
+    """Content address of one task: sha256 over (schema, code fingerprint,
+    recipe, params)."""
     h = hashlib.sha256()
     h.update(f"fabric-key-schema={KEY_SCHEMA}\n".encode())
+    h.update(f"code={code_fingerprint()}\n".encode())
     h.update(recipe.encode())
     h.update(b"\n")
     h.update(canonical_params(params).encode())

@@ -3,10 +3,11 @@
 A figure regeneration decomposes into independent (benchmark,
 transformation) functional simulations — by far the expensive part — plus
 the timing replays of each trace.  This module runs a batch of such units,
-each a picklable :class:`~repro.harness.runner.TraceTask`, across a
-``concurrent.futures.ProcessPoolExecutor``; each worker rebuilds its task's
-installation deterministically (images are regenerated from the profile
-seed, so nothing heavyweight crosses the pipe).
+each a picklable :class:`~repro.harness.runner.TraceTask` plus the base
+image of its benchmark, across a ``concurrent.futures.ProcessPoolExecutor``;
+the caller supplies the images (a :class:`~repro.harness.runner.Suite`
+passes its own, overrides included) and each worker builds its task's
+installation from the image it is sent.
 
 Workers also run the timing replays their caller already knows it needs
 (the per-figure :class:`~repro.sim.config.MachineConfig` lists), so the
@@ -16,7 +17,8 @@ the parent's warm check get traces and replays through the same helpers as
 ``trace_replay``), so everything a worker produces goes through the
 persistent :mod:`~repro.harness.trace_cache` when one is configured, and a
 trace stored there comes back to the parent as a lazy cache reference
-rather than through the pipe.
+rather than through the pipe.  The warm check keys each task from its
+image and recipe alone, so a fully cached batch builds nothing.
 
 Pool supervision (watchdog timeouts, deterministic exponential backoff
 between retries, circuit breaking on repeated worker deaths) comes from
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TaskError, TaskTimeoutError, WorkerCrashError
 from repro.fabric.supervise import (
@@ -62,14 +64,13 @@ from repro.harness.trace_cache import (
     deserialize_trace,
     serialize_trace,
 )
+from repro.program.image import ProgramImage
 from repro.sim.config import MachineConfig
 from repro.sim.cycle import CycleResult
 from repro.telemetry import events as _events
 from repro.telemetry import get_logger
 from repro.telemetry import registry as _telemetry
 from repro.telemetry import tracing as _tracing
-from repro.workloads.generator import generate_benchmark
-from repro.workloads.specint import get_profile
 
 logger = get_logger(__name__)
 
@@ -123,20 +124,22 @@ class TaskResults(dict):
         self.failures: List[TaskFailure] = []
 
 
-def _task_result(task: TraceTask, configs: Sequence[MachineConfig],
+def _task_result(task: TraceTask, image: ProgramImage,
+                 configs: Sequence[MachineConfig],
                  cache: Optional[TraceCache], max_steps: int):
-    """(trace, {config_repr: CycleResult}) for one task, computed in this
-    process through ``cache``."""
-    trace = installation_trace(build_installation(task), cache, max_steps)
+    """(trace, {config_repr: CycleResult}) for one task over its base
+    ``image``, computed in this process through ``cache``."""
+    trace = installation_trace(task, image, cache, max_steps)
     cycles = {repr(config): trace_replay(trace, config, cache)
               for config in configs}
     return trace, cycles
 
 
-def _run_task(task: TraceTask, configs: Sequence[MachineConfig],
+def _run_task(task: TraceTask, image: ProgramImage,
+              configs: Sequence[MachineConfig],
               cache_root: Optional[str], max_steps: int, trace_ctx=None):
     """Pool worker entry point: (digest, trace_bytes, {config_repr:
-    CycleResult}, metrics, spans) for one task.
+    CycleResult}, metrics, spans) for one task over its base ``image``.
 
     ``trace_bytes`` is ``None`` when the trace is in the persistent cache
     (a hit, or stored by this call): the parent reads it from there lazily
@@ -155,11 +158,12 @@ def _run_task(task: TraceTask, configs: Sequence[MachineConfig],
         with _tracing.remote_session(trace_ctx) as session:
             with _tracing.remote_span("harness.task",
                                       task=_task_label(task)):
-                out = _run_task(task, configs, cache_root, max_steps)
+                out = _run_task(task, image, configs, cache_root,
+                                max_steps)
         return out[:4] + (list(session.records),)
     tm_before = _telemetry.snapshot() if _telemetry.enabled() else None
     cache = TraceCache(cache_root) if cache_root else None
-    trace, cycles = _task_result(task, configs, cache, max_steps)
+    trace, cycles = _task_result(task, image, configs, cache, max_steps)
     stored = cache is not None and trace.cache_key is not None
     tm_delta = (_telemetry.snapshot_delta(tm_before, _telemetry.snapshot())
                 if tm_before is not None else None)
@@ -167,14 +171,14 @@ def _run_task(task: TraceTask, configs: Sequence[MachineConfig],
             cycles, tm_delta, None)
 
 
-def _worker_trace(task: TraceTask, digest: Optional[str],
-                  trace_bytes: Optional[bytes],
+def _worker_trace(task: TraceTask, image: ProgramImage,
+                  digest: Optional[str], trace_bytes: Optional[bytes],
                   cache: Optional[TraceCache], max_steps: int):
     """The trace a worker produced: the bytes it sent, or a lazy reference
     to the cache entry it stored under ``digest``."""
     if trace_bytes is None:
         return LazyTrace(cache, digest, recompute=lambda: installation_trace(
-            build_installation(task), None, max_steps))
+            task, image, None, max_steps))
     trace = deserialize_trace(trace_bytes)
     trace.cache_key = digest
     return trace
@@ -207,6 +211,7 @@ def _record_task(task: TraceTask, seconds: float, attempts: int,
 
 
 def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
+              images: Mapping[str, ProgramImage],
               jobs: Optional[int] = None,
               cache: Optional[TraceCache] = None,
               max_steps: int = MAX_STEPS,
@@ -218,7 +223,9 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
     """Run a batch of trace tasks, fanning out across worker processes.
 
     ``plan`` pairs each task with the machine configurations whose timing
-    replays the caller will need.  Returns a :class:`TaskResults` mapping
+    replays the caller will need; ``images`` maps each task's ``bench`` to
+    the base image its installation is built from.  Returns a
+    :class:`TaskResults` mapping
     each task to the cache digest (``None`` for uncacheable runs), the
     trace, and the replay results keyed by ``repr(config)``.
 
@@ -264,18 +271,13 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
         return time.monotonic() - start if start is not None else 0.0
 
     # Warm check: a task whose trace and every requested replay are in the
-    # cache is answered here, lazily, without a worker.
+    # cache is answered here, lazily, without a worker and without
+    # building its installation.
     if cache is not None:
-        images: Dict[Tuple, object] = {}
         for task, configs in list(merged.items()):
             t0 = time.monotonic()
-            image_key = (task.bench, task.scale)
-            if image_key not in images:
-                images[image_key] = generate_benchmark(
-                    get_profile(task.bench), scale=task.scale)
-            trace = installation_trace(
-                build_installation(task, images[image_key]), cache,
-                max_steps, compute=False)
+            trace = installation_trace(task, images[task.bench], cache,
+                                       max_steps, compute=False)
             cycles = (None if trace is None
                       else _cached_replays(trace, configs, cache))
             if cycles is None:
@@ -289,7 +291,8 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
     if jobs <= 1 or len(merged) <= 1:
         for task, configs in merged.items():
             begin_attempt(task)
-            trace, cycles = _task_result(task, configs, cache, max_steps)
+            trace, cycles = _task_result(task, images[task.bench], configs,
+                                         cache, max_steps)
             results[task] = (trace.cache_key, trace, cycles)
             _record_task(task, task_elapsed(task), 1, "ok")
         return results
@@ -302,8 +305,8 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
     trace_ctx = _tracing.current_context()
     specs = {
         task: (lambda attempt, task=task, configs=configs:
-               (_run_task, (task, configs, cache_root, max_steps,
-                            trace_ctx)))
+               (_run_task, (task, images[task.bench], configs, cache_root,
+                            max_steps, trace_ctx)))
         for task, configs in merged.items()
     }
     outcomes = supervisor.run(specs)
@@ -317,8 +320,9 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
                 _telemetry.get_registry().merge(tm_delta)
             if spans:
                 _events.emit_remote_spans(spans)
-            results[task] = (digest, _worker_trace(task, digest, trace_bytes,
-                                                   cache, max_steps), cycles)
+            results[task] = (digest, _worker_trace(
+                task, images[task.bench], digest, trace_bytes, cache,
+                max_steps), cycles)
             _record_task(task, outcome.elapsed, outcome.attempts, "ok")
         elif outcome.status == "timeout":
             error = TaskTimeoutError(
@@ -356,7 +360,8 @@ def run_tasks(plan: Iterable[Tuple[TraceTask, Sequence[MachineConfig]]],
     for task, configs in failed:
         begin_attempt(task)
         try:
-            trace, cycles = _task_result(task, configs, cache, max_steps)
+            trace, cycles = _task_result(task, images[task.bench], configs,
+                                         cache, max_steps)
         except Exception as exc:
             error = WorkerCrashError(
                 f"serial fallback failed: {type(exc).__name__}: {exc}",

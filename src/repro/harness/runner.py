@@ -7,19 +7,22 @@ the cached traces, which is what makes regenerating all of Figures 6-8
 tractable.
 
 One (benchmark, transformation) pair is a :class:`TraceTask`;
-:func:`build_installation` is the one map from a task to its installation,
-:func:`installation_trace` the one way to get its functional trace (from
-the persistent cache or by running the machine), and :func:`trace_replay`
-the one way to get a timing replay (from the cache or by simulating).  The
-suite, the pool workers and the parent's warm check all go through them.
+:func:`build_installation` is the one map from a task and its base image
+to an installation, :func:`installation_trace` the one way to get its
+functional trace (from the persistent cache or by running the machine),
+and :func:`trace_replay` the one way to get a timing replay (from the
+cache or by simulating).  The suite, the pool workers and the parent's
+warm check all go through them.  A trace is keyed by its task's recipe
+and base image before anything is built, so a cache hit installs no ACF.
 
 Two accelerators sit underneath (see :mod:`repro.harness.parallel` and
 :mod:`repro.harness.trace_cache`):
 
 * :meth:`Suite.prefetch` runs a figure's functional simulations — and the
   timing replays the figure is known to need — across worker processes;
-* a persistent content-addressed cache makes repeat runs warm-start, for
-  serial and parallel execution alike.  ``REPRO_TRACE_CACHE`` points it at
+* a persistent cache, keyed by the code, the base image and the task's
+  recipe, makes repeat runs warm-start, for serial and parallel
+  execution alike.  ``REPRO_TRACE_CACHE`` points it at
   a directory (or disables it with ``0``/``off``); ``REPRO_JOBS`` sets the
   default worker count.
 """
@@ -81,6 +84,12 @@ class TraceTask:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown trace kind: {self.kind!r}")
 
+    def recipe(self) -> str:
+        """How the installation derives from the base image: everything
+        but the benchmark and scale, which the image itself carries."""
+        return repr((self.kind, self.variant, self.label, self.options,
+                     self.scheme))
+
     def suite_key(self) -> Tuple:
         """The :class:`Suite` trace-dict key."""
         if self.kind == "mfi":
@@ -92,17 +101,15 @@ class TraceTask:
         return (self.bench, self.kind)
 
 
-def build_installation(task: TraceTask, image: Optional[ProgramImage] = None,
+def build_installation(task: TraceTask, image: ProgramImage,
                        compress=None) -> AcfInstallation:
-    """Deterministically build the task's installation.
+    """Deterministically build the task's installation over its base
+    ``image``.
 
-    ``image`` defaults to the benchmark regenerated from its profile.
     ``compress(image, options)`` produces a compressed task's
     :class:`CompressionResult` (default :func:`compress_image`), so a
     caller that memoises compressions can share them.
     """
-    if image is None:
-        image = generate_benchmark(get_profile(task.bench), scale=task.scale)
     if task.kind == "plain":
         return plain_installation(image)
     if task.kind == "mfi":
@@ -115,30 +122,41 @@ def build_installation(task: TraceTask, image: Optional[ProgramImage] = None,
     return installation
 
 
-def installation_trace(installation: AcfInstallation,
+def installation_trace(task: TraceTask, image: ProgramImage,
                        cache: Optional[TraceCache],
                        max_steps: int = MAX_STEPS,
-                       compute: bool = True) -> Optional[TraceResult]:
-    """The functional trace of ``installation`` under :data:`FUNCTIONAL_DISE`.
+                       compute: bool = True,
+                       compress=None) -> Optional[TraceResult]:
+    """The functional trace of ``task`` over its base ``image`` under
+    :data:`FUNCTIONAL_DISE`.
 
-    A trace-cache hit returns a :class:`LazyTrace`: its ops are
-    deserialized only when a timing replay needs them, so a warm figure run
-    whose replays are all cached never touches them.  A miss runs the
-    machine and stores the trace — or, with ``compute`` false, returns
-    ``None``.  The trace's ``cache_key`` is its cache digest (``None`` for
-    an uncacheable run).
+    The task key (:func:`machine_trace_key`) is computed before anything
+    is built.  A trace-cache hit returns a :class:`LazyTrace`: neither the
+    installation nor the trace's ops are built until a timing replay needs
+    them, so a warm figure run whose replays are all cached installs no
+    ACF.  A miss builds the installation (``compress`` as for
+    :func:`build_installation`), runs the machine and stores the trace —
+    or, with ``compute`` false, returns ``None``.  A machine with control
+    handlers runs arbitrary Python the key cannot name, so its trace is
+    returned but not stored, and its ``cache_key`` is ``None``; otherwise
+    the trace's ``cache_key`` is the task key.
     """
-    machine = installation.make_machine(FUNCTIONAL_DISE)
-    digest = machine_trace_key(installation, machine, repr(FUNCTIONAL_DISE),
+    digest = machine_trace_key(image, task.recipe(), repr(FUNCTIONAL_DISE),
                                max_steps)
-    if cache is not None and digest is not None and cache.has_trace(digest):
-        return LazyTrace(cache, digest,
-                         recompute=lambda: machine.run(max_steps=max_steps))
+
+    def run():
+        installation = build_installation(task, image, compress)
+        machine = installation.make_machine(FUNCTIONAL_DISE)
+        trace = machine.run(max_steps=max_steps)
+        trace.cache_key = None if machine.control_handlers else digest
+        return trace
+
+    if cache is not None and cache.has_trace(digest):
+        return LazyTrace(cache, digest, recompute=run)
     if not compute:
         return None
-    trace = machine.run(max_steps=max_steps)
-    trace.cache_key = digest
-    if cache is not None and digest is not None:
+    trace = run()
+    if cache is not None and trace.cache_key is not None:
         cache.store_trace(digest, trace)
     return trace
 
@@ -217,12 +235,11 @@ class Suite:
     def _trace(self, task: TraceTask) -> TraceResult:
         key = task.suite_key()
         if key not in self._traces:
-            installation = build_installation(
-                task, self.image(task.bench),
+            self._traces[key] = installation_trace(
+                task, self.image(task.bench), self.cache,
                 compress=lambda image, options: self.compression(
                     task.bench, options, task.label),
             )
-            self._traces[key] = installation_trace(installation, self.cache)
         return self._traces[key]
 
     def trace_plain(self, bench: str) -> TraceResult:
@@ -267,10 +284,12 @@ class Suite:
         out across worker processes, populating the in-memory memos.
 
         ``plan`` entries are ``TraceTask`` or ``(TraceTask, configs)``.
-        Tasks whose traces are already in memory are skipped.  With an
-        effective worker count of 1 this is a no-op (the serial path will
-        compute everything on demand, through the persistent cache).
-        Returns the number of tasks executed.
+        Tasks whose traces are already in memory are skipped.  Each task
+        runs over this suite's :meth:`image` of its benchmark, which
+        crosses the pipe to the worker.  With an effective worker count
+        of 1 this is a no-op (the serial path will compute everything on
+        demand, through the persistent cache).  Returns the number of
+        tasks executed.
         """
         # Imported here: repro.harness.parallel imports this module.
         from repro.harness.parallel import run_tasks
@@ -287,9 +306,12 @@ class Suite:
             normalized.append((task, tuple(configs)))
         if not normalized:
             return 0
+        images = {task.bench: self.image(task.bench)
+                  for task, _ in normalized}
         with _events.span("suite.prefetch", tasks=len(normalized),
                           jobs=jobs):
-            results = run_tasks(normalized, jobs=jobs, cache=self.cache)
+            results = run_tasks(normalized, images=images, jobs=jobs,
+                                cache=self.cache)
         for task, (digest, trace, cycle_results) in results.items():
             self._traces.setdefault(task.suite_key(), trace)
             fingerprint = trace_fingerprint(trace)

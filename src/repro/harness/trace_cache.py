@@ -1,12 +1,22 @@
-"""Persistent, content-addressed cache for functional traces.
+"""Persistent cache for functional traces and their timing replays.
 
 Regenerating the paper's figures replays a handful of functional traces
-under dozens of machine configurations; the traces themselves are pure
-functions of (program image, installed productions, initial machine state,
-DISE config, step budget).  This module caches them — and the per-config
-:class:`~repro.sim.cycle.CycleResult` replays — on disk, keyed by a sha256
-digest over exactly those inputs, so repeated figure runs, CI jobs, and
-parallel workers all warm-start.
+under dozens of machine configurations.  A trace is a pure function of
+its task: the code, the base program image, the task's recipe (the ACF
+kind with its variant, compression options or composition scheme), the
+DISE config and the step budget.  This module caches the traces — and
+the per-config :class:`~repro.sim.cycle.CycleResult` replays — on disk,
+keyed by a sha256 over exactly those inputs
+(:func:`machine_trace_key`; a replay's key hashes its trace's key), so
+repeated figure runs, CI jobs and parallel workers all warm-start.  The
+key is computed before anything is built: a warm run fingerprints each
+base image once and installs no ACF.
+
+The code enters every key as :func:`repro.fingerprint.code_fingerprint`,
+a digest of the package's sources, so any source edit makes the next run
+cold.  Entries written before the edit are orphaned, never served;
+``repro-cli cache clear`` (and ``repro-cli fabric gc --all`` for the
+fabric store) reclaims them.
 
 Layout (default root ``~/.cache/repro-dise``, override with the
 ``REPRO_TRACE_CACHE`` env var; set it to ``0``/``off`` to disable)::
@@ -19,9 +29,8 @@ workers can share one cache directory.  Every entry is framed with a magic
 tag and a truncated sha256 of its payload; an entry that fails the check —
 truncated write, bit rot, a stray file — is *quarantined* (moved to
 ``<root>/quarantine/``) and reads as a miss, so the caller regenerates it
-without user intervention.  Keys embed :data:`SCHEMA_VERSION` — bump it
-whenever trace semantics or the serialized form change and every stale
-entry silently misses.
+without user intervention.  Keys and payloads embed
+:data:`SCHEMA_VERSION`, which versions the serialized form.
 """
 
 from __future__ import annotations
@@ -33,10 +42,10 @@ import sys
 import zlib
 from array import array
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.core.production import ProductionSet
 from repro.errors import CacheCorruptionError
+from repro.fingerprint import code_fingerprint
 from repro.program.image import ProgramImage
 from repro.sim.memory import Memory
 from repro.sim.trace import OpColumns, TraceResult
@@ -45,7 +54,8 @@ from repro.telemetry import registry as _telemetry
 
 logger = get_logger(__name__)
 
-#: Bump when the trace format, Op fields, or generator semantics change.
+#: Bump when the serialized trace or cycle payload changes shape (code
+#: changes already move every key through the code fingerprint).
 #: 2: entries gained the integrity frame (magic + content digest).
 #: 3: structure-of-arrays payload — the five trace columns travel as raw
 #:    ``array('Q')`` buffers (plus the recorder's byte order) instead of
@@ -118,8 +128,12 @@ def unframe_payload(data: bytes) -> bytes:
 # Fingerprinting
 # ----------------------------------------------------------------------
 def image_fingerprint(image: ProgramImage) -> str:
-    """Stable digest of everything execution can observe in an image.
+    """Stable digest of everything execution or an ACF installation can
+    observe in an image.
 
+    Trace keys name the *base* image and derive the installation from it,
+    so the symbol table and the load-address pairs that rewriting and
+    compression read are covered along with what execution reads.
     Memoised on the image: transformations build *new* images rather than
     mutating, so the digest of a given object never changes.
     """
@@ -136,6 +150,8 @@ def image_fingerprint(image: ProgramImage) -> str:
     h.update(repr((image.entry_index, image.text_base, image.data_base,
                    image.data_size)).encode())
     h.update(repr(sorted(image.data_words.items())).encode())
+    h.update(repr(list(image.symbols.items())).encode())
+    h.update(repr(list(image.load_addresses.items())).encode())
     digest = h.hexdigest()
     try:
         image._cached_fingerprint = digest
@@ -144,63 +160,25 @@ def image_fingerprint(image: ProgramImage) -> str:
     return digest
 
 
-def production_set_fingerprint(pset: ProductionSet) -> str:
-    """Structural digest of one production set (ProductionSet has no
-    value-semantics repr of its own; its members are frozen dataclasses)."""
-    h = hashlib.sha256()
-    h.update(repr((pset.name, pset.scope)).encode())
-    for production in pset.productions:
-        h.update(repr(production).encode())
-    for seq_id in sorted(pset.replacements):
-        h.update(repr((seq_id, pset.replacements[seq_id])).encode())
-    return h.hexdigest()
+def machine_trace_key(image: ProgramImage, recipe: str,
+                      dise_config_repr: str, max_steps: int) -> str:
+    """The cache key of one functional run, computed before anything is
+    built: the schema, the code fingerprint, the base ``image``, the
+    task's ``recipe`` (how the installation is derived from the image),
+    the DISE config and the step budget.
 
-
-def trace_key(image: ProgramImage,
-              production_sets: Iterable[ProductionSet],
-              init_regs: Iterable[int],
-              init_memory: dict,
-              dise_config_repr: str,
-              max_steps: int) -> str:
-    """The cache key for one functional run.
-
-    ``init_regs``/``init_memory`` are the post-initialisation register file
-    and data memory — they capture whatever the installation's
-    ``init_machine`` callback seeded, without having to fingerprint
-    arbitrary Python code.  Installations whose callbacks do more than seed
-    state (e.g. register ``ctrl`` handlers) must not be cached;
-    :func:`machine_trace_key` checks that.
-
-    Memory equal to the image's initial data is already covered by the
-    image fingerprint, so only memory that differs is hashed.  Its part is
-    a list repr starting with ``[``, which the DISE config repr after it
-    never does, so the hashed bytes still parse back to one set of inputs.
+    Keying the recipe instead of the built installation relies on
+    installation being deterministic — the same image and recipe give
+    the same productions and initial state in every process, whatever
+    its hash seed — which the test suite pins for every task kind.
     """
     h = hashlib.sha256()
-    h.update(f"schema={SCHEMA_VERSION}".encode())
-    h.update(image_fingerprint(image).encode())
-    for pset in production_sets:
-        h.update(production_set_fingerprint(pset).encode())
-    h.update(repr(tuple(init_regs)).encode())
-    if init_memory != image.data_words:
-        h.update(repr(sorted(init_memory.items())).encode())
-    h.update(dise_config_repr.encode())
-    h.update(f"max_steps={max_steps}".encode())
+    for part in (f"schema={SCHEMA_VERSION}", f"code={code_fingerprint()}",
+                 f"image={image_fingerprint(image)}", f"recipe={recipe}",
+                 f"dise={dise_config_repr}", f"max_steps={max_steps}"):
+        h.update(part.encode())
+        h.update(b"\0")
     return h.hexdigest()
-
-
-def machine_trace_key(installation, machine, dise_config_repr: str,
-                      max_steps: int) -> Optional[str]:
-    """Key for running ``installation`` on a freshly initialised ``machine``.
-
-    Returns ``None`` when the run is uncacheable: a registered ``ctrl``
-    handler is arbitrary Python whose behaviour the key cannot capture.
-    """
-    if machine.control_handlers:
-        return None
-    return trace_key(installation.image, installation.production_sets,
-                     machine.regs, machine.mem.snapshot(),
-                     dise_config_repr, max_steps)
 
 
 def trace_fingerprint(trace: TraceResult) -> str:
@@ -222,7 +200,8 @@ def trace_fingerprint(trace: TraceResult) -> str:
 
 
 def cycle_key(trace_digest: str, config_repr: str, warm_start: bool) -> str:
-    """The cache key for one timing replay of a cached trace."""
+    """The cache key for one timing replay of a cached trace; hashing the
+    trace's key, it inherits the code fingerprint."""
     h = hashlib.sha256()
     h.update(f"schema={SCHEMA_VERSION}".encode())
     h.update(trace_digest.encode())

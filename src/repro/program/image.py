@@ -19,6 +19,9 @@ from typing import Dict, List, Optional
 
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
 
+#: Memo attributes the simulators attach to an image, left out of pickles.
+_PROCESS_LOCAL = ("_translation_store", "_batch_store")
+
 
 @dataclass
 class ProgramImage:
@@ -50,6 +53,15 @@ class ProgramImage:
         count = len(self.instructions)
         if not (len(self.addresses) == len(self.sizes) == len(self.target_index) == count):
             raise ValueError("image field lengths disagree")
+
+    def __getstate__(self):
+        # The simulators stash per-process memos on the image (compiled
+        # superblock translations, the address index); they rebuild on
+        # demand, and compiled code cannot cross a process boundary.
+        state = {name: value for name, value in self.__dict__.items()
+                 if name not in _PROCESS_LOCAL}
+        state["_index_of_addr"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Addressing

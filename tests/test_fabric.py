@@ -144,6 +144,15 @@ class TestTaskKeys:
         assert task_key("m:r", {"x": 1}) != task_key("m:r", {"x": 2})
         assert task_key("m:r", {"x": 1}) != task_key("m:s", {"x": 1})
 
+    def test_key_names_the_code(self, monkeypatch):
+        from repro import fingerprint
+
+        before = task_key("m:r", {"x": 1})
+        monkeypatch.setattr(fingerprint, "_fingerprint", "0" * 64)
+        assert task_key("m:r", {"x": 1}) != before
+        assert Task(recipe="m:r", params={"x": 1}, task_id="lbl").key \
+            == task_key("m:r", {"x": 1})
+
     def test_task_id_defaults_to_key_prefix(self):
         task = Task(recipe="m:r", params={"x": 1})
         assert task.task_id == task.key[:16]

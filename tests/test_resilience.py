@@ -26,6 +26,8 @@ from repro.harness.report import (
 from repro.harness.trace_cache import serialize_trace
 from repro.sim.config import MachineConfig
 from repro.tools.cli import main
+from repro.workloads.generator import generate_benchmark
+from repro.workloads.specint import get_profile
 
 SCALE = 0.05
 
@@ -35,6 +37,13 @@ def _plan():
         (TraceTask("mcf", SCALE, "plain"), [MachineConfig()]),
         (TraceTask("gzip", SCALE, "plain"), [MachineConfig()]),
     ]
+
+
+@pytest.fixture(scope="module")
+def images():
+    """The base image of each benchmark in the plan."""
+    return {bench: generate_benchmark(get_profile(bench), scale=SCALE)
+            for bench in ("mcf", "gzip")}
 
 
 class _InlineFuture(Future):
@@ -109,26 +118,28 @@ class TestEnvResolution:
 
 
 class TestRetries:
-    def test_induced_crash_recovers_via_retry(self, caplog):
+    def test_induced_crash_recovers_via_retry(self, images, caplog):
         executor = FlakyExecutor(crashes=1)
         with caplog.at_level(logging.WARNING,
                              logger="repro.harness.parallel"):
-            results = run_tasks(_plan(), jobs=2, executor_factory=executor,
+            results = run_tasks(_plan(), images, jobs=2,
+                                executor_factory=executor,
                                 retries=1, backoff=0.0)
         assert len(results) == 2
         assert not results.failures
         assert any("retrying" in rec.message for rec in caplog.records)
         # Retried results are the same as an undisturbed serial run.
-        reference = run_tasks(_plan(), jobs=1)
+        reference = run_tasks(_plan(), images, jobs=1)
         for task in reference:
             assert serialize_trace(results[task][1]) == \
                 serialize_trace(reference[task][1])
 
-    def test_exhausted_retries_fall_back_to_serial(self, caplog):
+    def test_exhausted_retries_fall_back_to_serial(self, images, caplog):
         executor = FlakyExecutor(crashes=100)     # never recovers in-pool
         with caplog.at_level(logging.WARNING,
                              logger="repro.harness.parallel"):
-            results = run_tasks(_plan(), jobs=2, executor_factory=executor,
+            results = run_tasks(_plan(), images, jobs=2,
+                                executor_factory=executor,
                                 retries=1, backoff=0.0)
         assert len(results) == 2                  # serial fallback saved it
         assert any("falling back to serial" in rec.message
@@ -136,10 +147,11 @@ class TestRetries:
 
 
 class TestWatchdog:
-    def test_hung_tasks_are_skipped_with_structured_failures(self, caplog):
+    def test_hung_tasks_are_skipped_with_structured_failures(self, images,
+                                                            caplog):
         with caplog.at_level(logging.WARNING,
                              logger="repro.harness.parallel"):
-            results = run_tasks(_plan(), jobs=2,
+            results = run_tasks(_plan(), images, jobs=2,
                                 executor_factory=HangingExecutor,
                                 task_timeout=0.05, retries=1, backoff=0.0)
         assert isinstance(results, TaskResults)
@@ -154,9 +166,9 @@ class TestWatchdog:
             assert details["timeout"] == 0.05
         assert any("skipping" in rec.message for rec in caplog.records)
 
-    def test_no_watchdog_by_default(self, monkeypatch):
+    def test_no_watchdog_by_default(self, images, monkeypatch):
         monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-        results = run_tasks(_plan(), jobs=2)
+        results = run_tasks(_plan(), images, jobs=2)
         assert len(results) == 2 and not results.failures
 
 

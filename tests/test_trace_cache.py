@@ -1,10 +1,22 @@
 """Persistent trace cache: keys, serialization round-trips, store/load."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.acf.base import AcfInstallation, plain_installation
+from repro import fingerprint
+from repro.acf.base import AcfInstallation
+from repro.acf.compression import DISE_OPTIONS
 from repro.acf.mfi import attach_mfi
 from repro.core.config import DiseConfig
+from repro.errors import HarnessError
+from repro.fabric import ArtifactStore
+from repro.harness import Suite, fig6_top, runner
+from repro.harness.runner import TraceTask, installation_trace
 from repro.harness.trace_cache import (
     SCHEMA_VERSION,
     LazyTrace,
@@ -21,6 +33,7 @@ from repro.harness.trace_cache import (
 )
 from repro.sim.config import MachineConfig
 from repro.sim.cycle import simulate_trace
+from repro.verify.campaign import VerifyConfig, run_verification
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.specint import get_profile
 
@@ -84,70 +97,72 @@ class TestSerialization:
         assert serialize_trace(trace) == serialize_trace(trace)
 
 
+def _task_key(image, task, dise=FUNCTIONAL, max_steps=MAX_STEPS):
+    return machine_trace_key(image, task.recipe(), repr(dise), max_steps)
+
+
 class TestKeys:
+    """Trace keys name the code, the base image and the task's recipe."""
+
+    TASK = TraceTask("mcf", 0.2, "mfi", variant="dise3")
+
     def test_key_is_stable_across_rebuilds(self, image):
-        inst_a = attach_mfi(image, "dise3")
-        inst_b = attach_mfi(
-            generate_benchmark(get_profile("mcf"), scale=0.2), "dise3"
-        )
-        key_a = machine_trace_key(inst_a, inst_a.make_machine(FUNCTIONAL),
-                                  repr(FUNCTIONAL), MAX_STEPS)
-        key_b = machine_trace_key(inst_b, inst_b.make_machine(FUNCTIONAL),
-                                  repr(FUNCTIONAL), MAX_STEPS)
-        assert key_a is not None and key_a == key_b
+        rebuilt = generate_benchmark(get_profile("mcf"), scale=0.2)
+        assert rebuilt is not image
+        assert _task_key(image, self.TASK) == _task_key(rebuilt, self.TASK)
 
-    def test_key_changes_with_image(self, installation):
-        other_image = generate_benchmark(get_profile("gzip"), scale=0.2)
-        other = attach_mfi(other_image, "dise3")
-        key_a = machine_trace_key(
-            installation, installation.make_machine(FUNCTIONAL),
-            repr(FUNCTIONAL), MAX_STEPS,
-        )
-        key_b = machine_trace_key(other, other.make_machine(FUNCTIONAL),
-                                  repr(FUNCTIONAL), MAX_STEPS)
-        assert key_a != key_b
+    def test_key_changes_with_image(self, image):
+        other = generate_benchmark(get_profile("gzip"), scale=0.2)
+        assert _task_key(image, self.TASK) != _task_key(other, self.TASK)
 
-    def test_key_changes_with_productions(self, image):
-        plain = plain_installation(image)
-        mfi = attach_mfi(image, "dise3")
-        key_plain = machine_trace_key(plain, plain.make_machine(FUNCTIONAL),
-                                      repr(FUNCTIONAL), MAX_STEPS)
-        key_mfi = machine_trace_key(mfi, mfi.make_machine(FUNCTIONAL),
-                                    repr(FUNCTIONAL), MAX_STEPS)
-        assert key_plain != key_mfi
+    def test_key_changes_with_each_recipe_field(self, image):
+        tasks = [
+            TraceTask("mcf", 0.2, "plain"),
+            TraceTask("mcf", 0.2, "rewrite"),
+            TraceTask("mcf", 0.2, "mfi", variant="dise3"),
+            TraceTask("mcf", 0.2, "mfi", variant="dise4"),
+            TraceTask("mcf", 0.2, "compressed", label="DISE",
+                      options=DISE_OPTIONS),
+            TraceTask("mcf", 0.2, "compressed", label="other",
+                      options=DISE_OPTIONS),
+            TraceTask("mcf", 0.2, "compressed", label="DISE",
+                      options=DISE_OPTIONS.with_changes(min_seq_len=3)),
+            TraceTask("mcf", 0.2, "composed", scheme="dise+dise"),
+            TraceTask("mcf", 0.2, "composed", scheme="rewrite+dise"),
+        ]
+        keys = {_task_key(image, task) for task in tasks}
+        assert len(keys) == len(tasks)
 
-    def test_key_changes_with_config_and_budget(self, installation):
-        machine = installation.make_machine(FUNCTIONAL)
-        base = machine_trace_key(installation, machine, repr(FUNCTIONAL),
-                                 MAX_STEPS)
-        other_cfg = machine_trace_key(
-            installation, machine, repr(DiseConfig()), MAX_STEPS
-        )
-        other_steps = machine_trace_key(installation, machine,
-                                        repr(FUNCTIONAL), MAX_STEPS + 1)
+    def test_key_changes_with_config_and_budget(self, image):
+        base = _task_key(image, self.TASK)
+        other_cfg = _task_key(image, self.TASK, dise=DiseConfig())
+        other_steps = _task_key(image, self.TASK, max_steps=MAX_STEPS + 1)
         assert len({base, other_cfg, other_steps}) == 3
 
-    def test_key_covers_memory_the_init_callback_wrote(self, image):
-        # Memory equal to the image's data is hashed through the image
-        # fingerprint; memory the callback changed must still move the key.
-        addr, value = min(image.data_words.items())
+    def test_key_changes_with_code_fingerprint(self, image, monkeypatch):
+        before = _task_key(image, self.TASK)
+        monkeypatch.setattr(fingerprint, "_fingerprint", "0" * 64)
+        assert _task_key(image, self.TASK) != before
+        monkeypatch.undo()
+        assert _task_key(image, self.TASK) == before
 
-        def key(init):
-            inst = AcfInstallation(image=image, init_machine=init)
-            return machine_trace_key(inst, inst.make_machine(FUNCTIONAL),
-                                     repr(FUNCTIONAL), MAX_STEPS)
+    def test_ctrl_handlers_are_uncacheable(self, tmp_path, monkeypatch):
+        # A control handler is arbitrary Python the key cannot name: the
+        # run still happens, but its trace is neither keyed nor stored.
+        image = generate_benchmark(get_profile("mcf"), scale=0.05)
 
-        untouched = key(lambda machine: None)
-        assert key(lambda machine: machine.mem.write(addr, value + 1)) \
-            != untouched
-        assert key(lambda machine: machine.mem.write(addr, value)) \
-            == untouched
+        def with_handler(task, image, compress=None):
+            def init(machine):
+                machine.control_handlers[99] = lambda m: None
+            return AcfInstallation(image=image, init_machine=init)
 
-    def test_ctrl_handlers_are_uncacheable(self, installation):
-        machine = installation.make_machine(FUNCTIONAL)
-        machine.control_handlers[99] = lambda m: None
-        assert machine_trace_key(installation, machine, repr(FUNCTIONAL),
-                                 MAX_STEPS) is None
+        monkeypatch.setattr(runner, "build_installation", with_handler)
+        cache = TraceCache(tmp_path)
+        task = TraceTask("mcf", 0.05, "plain")
+        trace = installation_trace(task, image, cache)
+        assert trace.halted and trace.cache_key is None
+        assert cache.stats()["traces"]["entries"] == 0
+        assert installation_trace(task, image, cache, compute=False) is None
 
     def test_image_fingerprint_sensitive_to_content(self, image):
         other = generate_benchmark(get_profile("gzip"), scale=0.2)
@@ -155,6 +170,16 @@ class TestKeys:
         assert image_fingerprint(image) == image_fingerprint(
             generate_benchmark(get_profile("mcf"), scale=0.2)
         )
+
+    def test_image_fingerprint_covers_what_installation_reads(self, image):
+        # Rewriting and compression read the symbol table and the
+        # load-address pairs, so a base-image key must cover them.
+        assert image.symbols and image.load_addresses
+        for changed in (
+            dataclasses.replace(image, symbols={}),
+            dataclasses.replace(image, load_addresses={}),
+        ):
+            assert image_fingerprint(changed) != image_fingerprint(image)
 
     def test_cycle_key_separates_configs(self):
         a = cycle_key("digest", repr(MachineConfig()), True)
@@ -331,18 +356,19 @@ class TestSelfHealing:
 
     def test_regeneration_matches_cold_run(self, tmp_path):
         """End to end: corrupting a cache entry must not change results."""
-        from repro.harness.parallel import TraceTask, run_tasks
+        from repro.harness.parallel import run_tasks
 
         cache = TraceCache(tmp_path)
         task = TraceTask("mcf", 0.05, "plain")
         plan = [(task, [MachineConfig()])]
-        cold = run_tasks(plan, jobs=1, cache=cache)
+        images = {"mcf": generate_benchmark(get_profile("mcf"), scale=0.05)}
+        cold = run_tasks(plan, images, jobs=1, cache=cache)
         digest = cold[task][0]
         path = cache.trace_path(digest)
         data = bytearray(path.read_bytes())
         data[len(data) // 3] ^= 0x01
         path.write_bytes(bytes(data))
-        healed = run_tasks(plan, jobs=1, cache=cache)
+        healed = run_tasks(plan, images, jobs=1, cache=cache)
         assert serialize_trace(healed[task][1]) == \
             serialize_trace(cold[task][1])
         assert healed[task][2] == cold[task][2]
@@ -405,3 +431,141 @@ class TestSchemaMigration:
         assert stats["traces"]["by_schema"] == {
             "2": 1, str(SCHEMA_VERSION): 1, "unknown": 1,
         }
+
+
+class TestCodeFingerprint:
+    """Entries one build of the code wrote are never served to another."""
+
+    def test_fingerprint_follows_every_source_byte(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "a.py").write_text("x = 1\n")
+        (tmp_path / "pkg" / "b.py").write_text("y = 2\n")
+        before = fingerprint._hash_sources(tmp_path)
+        assert len(before) == 64
+        assert fingerprint._hash_sources(tmp_path) == before
+        (tmp_path / "pkg" / "b.py").write_text("y = 3\n")
+        assert fingerprint._hash_sources(tmp_path) != before
+        assert fingerprint.code_fingerprint() == \
+            fingerprint.code_fingerprint()
+
+    def test_unreadable_sources_fail_closed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fingerprint, "_fingerprint", None)
+        monkeypatch.setattr(fingerprint, "_PACKAGE_ROOT", tmp_path)
+        with pytest.raises(HarnessError):       # no sources at all
+            fingerprint.code_fingerprint()
+        (tmp_path / "a.py").write_text("x = 1\n")
+        (tmp_path / "b.py").mkdir()             # a source read fails
+        with pytest.raises(HarnessError):
+            fingerprint.code_fingerprint()
+        assert fingerprint._fingerprint is None  # nothing memoised
+
+    def test_code_change_misses_every_entry(self, tmp_path, monkeypatch):
+        cache = TraceCache(tmp_path / "cache")
+        store = ArtifactStore(tmp_path / "store")
+        config = VerifyConfig(benchmarks=("mcf",), scale=0.05,
+                              oracles=("roundtrip",))
+
+        def run():
+            suite = Suite(benchmarks=("mcf",), scale=0.05, jobs=1,
+                          cache=cache)
+            report = run_verification(config,
+                                      fabric_options={"store": store})
+            return (fig6_top(suite).render(),
+                    json.dumps(report, sort_keys=True))
+
+        cold = run()
+        lookups = []
+
+        def record(owner, name):
+            real = getattr(owner, name)
+
+            def lookup(self, key):
+                result = real(self, key)
+                lookups.append((name, result not in (None, False)))
+                return result
+            monkeypatch.setattr(owner, name, lookup)
+
+        record(TraceCache, "has_trace")
+        record(TraceCache, "load_cycles")
+        record(ArtifactStore, "get")
+        assert run() == cold
+        assert {name for name, _ in lookups} == \
+            {"has_trace", "load_cycles", "get"}
+        assert all(hit for _, hit in lookups)   # warm: everything hits
+        lookups.clear()
+        monkeypatch.setattr(fingerprint, "_fingerprint", "0" * 64)
+        assert run() == cold
+        assert {name for name, _ in lookups} == \
+            {"has_trace", "load_cycles", "get"}
+        assert not any(hit for _, hit in lookups)
+
+
+#: Builds every figure task's installation and prints what its trace key
+#: stands for: the installed image, the production sets and the state
+#: the installation leaves in a fresh machine.
+_INSTALLATION_DIGESTS = r"""
+import hashlib
+import json
+
+from repro.acf.compression import FIGURE7_VARIANTS
+from repro.harness.runner import FUNCTIONAL_DISE, TraceTask, build_installation
+from repro.harness.trace_cache import image_fingerprint
+from repro.workloads.generator import generate_benchmark
+from repro.workloads.specint import get_profile
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def production_set(pset):
+    return ((pset.name, pset.scope), [repr(p) for p in pset.productions],
+            [(seq_id, pset.replacements[seq_id])
+             for seq_id in sorted(pset.replacements)])
+
+
+out = {}
+for bench in ("mcf", "gzip"):
+    image = generate_benchmark(get_profile(bench), scale=0.05)
+    tasks = [TraceTask(bench, 0.05, "plain"),
+             TraceTask(bench, 0.05, "mfi", variant="dise3"),
+             TraceTask(bench, 0.05, "mfi", variant="dise4"),
+             TraceTask(bench, 0.05, "rewrite")]
+    tasks += [TraceTask(bench, 0.05, "compressed", label=label,
+                        options=options)
+              for label, options in FIGURE7_VARIANTS]
+    tasks += [TraceTask(bench, 0.05, "composed", scheme=scheme)
+              for scheme in ("rewrite+dedicated", "rewrite+dise",
+                             "dise+dise")]
+    out[bench] = image_fingerprint(image)
+    for task in tasks:
+        installation = build_installation(task, image)
+        machine = installation.make_machine(FUNCTIONAL_DISE)
+        out[f"{bench}/{task.recipe()}"] = [
+            image_fingerprint(installation.image),
+            digest([production_set(p) for p in installation.production_sets]),
+            digest(tuple(machine.regs)),
+            digest(sorted(machine.mem.snapshot().items())),
+            sorted(machine.control_handlers),
+        ]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_installations_independent_of_hash_seed():
+    """Trace keys name a task's recipe instead of its built installation,
+    which is sound only if building it is deterministic in every process."""
+    src = os.path.dirname(os.path.dirname(fingerprint.__file__))
+    procs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _INSTALLATION_DIGESTS], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    outputs = []
+    for proc in procs:
+        stdout, stderr = proc.communicate(timeout=600)
+        assert proc.returncode == 0, stderr
+        outputs.append(json.loads(stdout))
+    assert len(outputs[0]) == 2 + 2 * 13
+    assert outputs[0] == outputs[1]

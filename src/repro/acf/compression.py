@@ -40,7 +40,7 @@ from repro.core.pattern import PatternSpec
 from repro.core.production import ProductionSet
 from repro.core.replacement import ReplacementInstr, ReplacementSpec
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
-from repro.isa.opcodes import Format, OpClass, Opcode
+from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.registers import ZERO_REG
 from repro.program.blocks import find_basic_blocks
 from repro.program.builder import split_address
@@ -228,15 +228,12 @@ def make_template(instrs: List[Instruction],
 
 
 def _operand_regs(instr: Instruction) -> Tuple[int, ...]:
-    fmt = instr.format
-    if fmt is Format.MEM:
-        return tuple(r for r in (instr.ra, instr.rb) if r is not None)
-    if fmt is Format.OPERATE:
-        return tuple(r for r in (instr.ra, instr.rb, instr.rc)
-                     if r is not None)
-    if fmt is Format.BRANCH:
-        return (instr.ra,) if instr.ra is not None else ()
-    return ()
+    """Registers in the fields ``instr`` reads or writes, in field order."""
+    op = instr.opcode
+    return tuple(reg for field, reg in (("ra", instr.ra), ("rb", instr.rb),
+                                        ("rc", instr.rc))
+                 if reg is not None and (field in op.reads
+                                         or field == op.writes))
 
 
 def _literal_rinstr(instr: Instruction) -> ReplacementInstr:

@@ -28,7 +28,7 @@ from repro.core.production import ProductionSet
 from repro.isa.assembler import Label
 from repro.isa.build import Imm, bis, fault, li, srl, xor
 from repro.isa.instruction import INSTRUCTION_BYTES, Instruction
-from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.opcodes import UNSAFE_OPCLASSES, OpClass, Opcode
 from repro.isa.registers import dise_reg, parse_reg
 from repro.program.builder import LoadAddress, ProgramBuilder, SEGMENT_SHIFT
 from repro.program.image import ProgramImage
@@ -228,7 +228,6 @@ def rewrite_mfi(image: ProgramImage) -> AcfInstallation:
         )
     data_seg, code_seg = segment_ids(image)
     t10, t11 = SCAVENGED_REGS[2:]
-    unsafe = (OpClass.LOAD, OpClass.STORE, OpClass.INDIRECT_JUMP)
 
     builder = ProgramBuilder(text_base=image.text_base,
                              data_base=image.data_base)
@@ -267,7 +266,7 @@ def rewrite_mfi(image: ProgramImage) -> AcfInstallation:
             since_stub += 2
             continue
         instr = item
-        if instr.opclass in unsafe:
+        if instr.opclass in UNSAFE_OPCLASSES:
             seg_reg = t11 if instr.opclass is OpClass.INDIRECT_JUMP else t10
             check = checks.get((instr.rs, seg_reg))
             if check is None:

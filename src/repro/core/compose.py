@@ -34,7 +34,6 @@ from repro.core.replacement import (
     ReplacementInstr,
     ReplacementSpec,
 )
-from repro.isa.opcodes import Format, OpClass, Opcode
 from repro.isa.registers import DISE_REG_BASE, NUM_DISE_REGS, is_dise_reg
 
 MAYBE = "maybe"
@@ -45,31 +44,12 @@ class ComposeError(ProductionError):
 
 
 # ----------------------------------------------------------------------
-# Directive-level trigger roles of a replacement slot (mirrors
-# Instruction.rs/rt/rd but over directives).
+# Directive-level trigger roles of a replacement slot: the same opcode-table
+# fields Instruction.rs/rt/rd read, holding directives instead of registers.
 # ----------------------------------------------------------------------
 def _rinstr_role(rinstr: ReplacementInstr, role: str):
-    fmt = rinstr.opcode.format
-    if role == "rs":
-        if fmt is Format.MEM:
-            return rinstr.rb
-        if fmt in (Format.OPERATE, Format.BRANCH):
-            return rinstr.ra
-        if fmt is Format.JUMP:
-            return rinstr.rb
-    elif role == "rt":
-        if fmt is Format.MEM and rinstr.opcode.is_store:
-            return rinstr.ra
-        if fmt is Format.OPERATE:
-            return rinstr.rb
-    elif role == "rd":
-        if fmt is Format.MEM and rinstr.opcode.is_load:
-            return rinstr.ra
-        if fmt is Format.OPERATE:
-            return rinstr.rc
-        if fmt is Format.JUMP:
-            return rinstr.ra
-    return None
+    field = rinstr.opcode.roles.get(role)
+    return getattr(rinstr, field) if field else None
 
 
 def _pattern_matches_rinstr(pattern: PatternSpec, rinstr: ReplacementInstr):
@@ -169,18 +149,9 @@ def _directive_regs(directive) -> Set[int]:
 
 
 def _rinstr_written_dedicated(rinstr: ReplacementInstr) -> Set[int]:
-    if rinstr.is_trigger_copy:
+    if rinstr.is_trigger_copy or rinstr.opcode.writes is None:
         return set()
-    fmt = rinstr.opcode.format
-    if fmt is Format.OPERATE:
-        return _directive_regs(rinstr.rc)
-    if fmt is Format.MEM and (
-        rinstr.opcode.is_load or rinstr.opcode in (Opcode.LDA, Opcode.LDAH)
-    ):
-        return _directive_regs(rinstr.ra)
-    if fmt is Format.JUMP:
-        return _directive_regs(rinstr.ra)
-    return set()
+    return _directive_regs(getattr(rinstr, rinstr.opcode.writes))
 
 
 def _rinstr_all_dedicated(rinstr: ReplacementInstr) -> Set[int]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.opcodes import REG_ROLES, OpClass, Opcode
 from repro.isa.registers import reg_name
 
 #: Specificity weight (matched bits) contributed by each constraint kind.
@@ -29,9 +29,6 @@ _REG_BITS = 5
 _IMM_BITS = 16
 _SIGN_BITS = 1
 _PC_BITS = 8   # a PC-range constraint outranks register/sign constraints
-
-#: Register roles a pattern may constrain, mapped to Instruction accessors.
-REG_ROLES = ("rs", "rt", "rd")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ examples.
 from repro.isa.instruction import INSTRUCTION_BYTES, NOP, Instruction
 from repro.isa.opcodes import (
     Format,
+    Kind,
     OpClass,
     Opcode,
     RESERVED_OPCODES,
@@ -42,6 +43,7 @@ __all__ = [
     "NOP",
     "Instruction",
     "Format",
+    "Kind",
     "OpClass",
     "Opcode",
     "RESERVED_OPCODES",

@@ -20,7 +20,9 @@ NULLARY  no fields
 
 The DISE trigger-field accessors (:attr:`rs`, :attr:`rt`, :attr:`rd`) expose
 the register roles that replacement-sequence directives ``T.RS``, ``T.RT``
-and ``T.RD`` refer to (Section 2.1 of the paper).
+and ``T.RD`` refer to (Section 2.1 of the paper).  They and the dataflow
+accessors (:meth:`source_regs`, :meth:`dest_reg`) read the opcode table's
+operand columns (:class:`~repro.isa.opcodes.Opcode`), once per object.
 """
 
 from __future__ import annotations
@@ -28,11 +30,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.isa.opcodes import Format, OpClass, Opcode
+from repro.isa.opcodes import REG_ROLES, Format, OpClass, Opcode
 from repro.isa.registers import ZERO_REG, reg_name
 
 #: Number of bytes occupied by one uncompressed instruction.
 INSTRUCTION_BYTES = 4
+
+#: Every distinct operand-facts tuple an instruction has computed, so that
+#: equal facts are one object.
+_SHARED_OPERANDS: dict = {}
+
+
+class _Operands:
+    """``Instruction._operands``: ``(rs, rt, rd, source_regs, dest_reg)``
+    from the opcode table's ``roles``, ``reads`` and ``writes`` columns.
+
+    Computed on an instruction's first read and stored on it, where later
+    reads find it before this descriptor.  Equal tuples are shared, and
+    the store goes through ``object.__setattr__``, which keeps the
+    object's inline attribute storage (``functools.cached_property``
+    allocates a ``__dict__`` per object instead), so the cache costs each
+    instruction one reference.
+    """
+
+    def __get__(self, instr, owner=None):
+        if instr is None:
+            return self
+        op = instr.opcode
+        roles = op.roles
+        rs, rt, rd = (getattr(instr, roles[role]) if role in roles else None
+                      for role in REG_ROLES)
+        srcs = tuple(reg for reg in (getattr(instr, f) for f in op.reads)
+                     if reg is not None and reg != ZERO_REG)
+        dest = getattr(instr, op.writes) if op.writes else None
+        operands = (rs, rt, rd, srcs, None if dest == ZERO_REG else dest)
+        operands = _SHARED_OPERANDS.setdefault(operands, operands)
+        object.__setattr__(instr, "_operands", operands)
+        return operands
 
 
 @dataclass(frozen=True)
@@ -85,46 +119,17 @@ class Instruction:
         paper's Figure 1 where ``srl T.RS, 26`` extracts the segment bits of
         the effective address.
         """
-        fmt = self.format
-        if fmt is Format.MEM:
-            return self.rb
-        if fmt is Format.OPERATE:
-            return self.ra
-        if fmt is Format.BRANCH:
-            return self.ra
-        if fmt is Format.JUMP:
-            return self.rb
-        if fmt is Format.CODEWORD:
-            return self.ra
-        return None
+        return self._operands[0]
 
     @property
     def rt(self):
         """The trigger's secondary source register (``T.RT``)."""
-        fmt = self.format
-        if fmt is Format.MEM and self.is_store:
-            return self.ra
-        if fmt is Format.OPERATE:
-            return self.rb
-        if fmt is Format.CODEWORD:
-            return self.rb
-        return None
+        return self._operands[1]
 
     @property
     def rd(self):
         """The trigger's destination register (``T.RD``)."""
-        fmt = self.format
-        if fmt is Format.MEM and self.is_load:
-            return self.ra
-        if fmt is Format.OPERATE:
-            return self.rc
-        if fmt is Format.JUMP:
-            return self.ra
-        if fmt is Format.BRANCH and self.opclass is OpClass.UNCOND_BRANCH:
-            return self.ra
-        if fmt is Format.CODEWORD:
-            return self.rc
-        return None
+        return self._operands[2]
 
     @property
     def tag(self):
@@ -138,46 +143,13 @@ class Instruction:
     # ------------------------------------------------------------------
     def source_regs(self) -> Tuple[int, ...]:
         """Registers read by this instruction (zero register excluded)."""
-        op, fmt = self.opcode, self.format
-        srcs = []
-        if fmt is Format.MEM:
-            srcs.append(self.rb)
-            if self.is_store:
-                srcs.append(self.ra)
-        elif fmt is Format.OPERATE:
-            srcs.append(self.ra)
-            if self.rb is not None:
-                srcs.append(self.rb)
-            if op in (Opcode.CMOVEQ, Opcode.CMOVNE):
-                srcs.append(self.rc)  # conditional move reads the old dest
-        elif fmt is Format.BRANCH:
-            if op.is_cond_branch or op.is_dise_branch or \
-                    op in (Opcode.OUT, Opcode.CTRL):
-                srcs.append(self.ra)
-        elif fmt is Format.JUMP:
-            srcs.append(self.rb)
-        elif fmt is Format.CODEWORD:
-            # A raw codeword's register parameters are conservatively treated
-            # as sources; after DISE expansion the replacement sequence's own
-            # dataflow governs.
-            srcs.extend(r for r in (self.ra, self.rb, self.rc) if r is not None)
-        return tuple(r for r in srcs if r is not None and r != ZERO_REG)
+        return self._operands[3]
 
     def dest_reg(self) -> Optional[int]:
         """Register written by this instruction, or ``None``."""
-        op, fmt = self.opcode, self.format
-        dest = None
-        if fmt is Format.MEM and (self.is_load or op in (Opcode.LDA, Opcode.LDAH)):
-            dest = self.ra
-        elif fmt is Format.OPERATE:
-            dest = self.rc
-        elif fmt is Format.JUMP:
-            dest = self.ra
-        elif fmt is Format.BRANCH and self.opclass is OpClass.UNCOND_BRANCH:
-            dest = self.ra
-        if dest == ZERO_REG:
-            return None
-        return dest
+        return self._operands[4]
+
+    _operands = _Operands()
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -33,6 +33,7 @@ from repro.acf.mfi import attach_mfi
 from repro.errors import ExecutionTimeout, ProtocolError, SessionError
 from repro.program.builder import build_from_assembly
 from repro.serve.budgets import TenantLedger
+from repro.sim.functional import DISPATCH_TIERS
 from repro.verify.observe import PROJECTIONS, ChainedObserver
 from repro.workloads import BENCHMARK_NAMES, generate_by_name
 
@@ -205,11 +206,10 @@ def _validate_spec(spec: dict) -> dict:
             f"{PROJECTIONS}"
         )
     dispatch = spec.get("dispatch")
-    if dispatch is not None and dispatch not in ("translated", "fast",
-                                                 "generic"):
+    if dispatch is not None and dispatch not in DISPATCH_TIERS:
         raise ProtocolError(
             f"unknown dispatch {dispatch!r}; choose from "
-            "translated, fast, generic"
+            f"{', '.join(DISPATCH_TIERS)}"
         )
     return out
 

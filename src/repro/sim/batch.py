@@ -15,7 +15,7 @@ Scheduler state (per-lane flags and retirement counts) is kept as
 structure-of-arrays ``array('Q')`` columns mirroring ``sim/trace.py``;
 register files deliberately stay in the per-lane ``Machine`` objects:
 compiled superblocks mutate them in place, and masking a lane out to the
-scalar tiers (translated -> fast -> generic) must be a zero-copy handoff
+scalar tiers (translated -> generic) must be a zero-copy handoff
 for the scalar simulator to remain the always-correct fallback.  NumPy,
 when available, accelerates the occupancy summaries only — it is never
 required and never touches architectural state.

@@ -20,7 +20,7 @@ paper's two-level PC:DISEPC control model (Section 2.1):
 The run produces a :class:`~repro.sim.trace.TraceResult` that the timing
 simulator replays under different machine configurations.
 
-Three dispatch tiers implement the instruction semantics:
+Two dispatch tiers implement the instruction semantics:
 
 * the **translated tier** (default) — a superblock translation cache: each
   basic-block region (single entry, conditional branches may fall through,
@@ -32,20 +32,20 @@ Three dispatch tiers implement the instruction semantics:
   keyed by entry index and the engine's production-set ``generation``
   (and flushed via the controller's invalidation hook), mirroring the
   paper's RT, which stores replacement sequences pre-decoded so expansion
-  costs nothing at fetch (Section 2.2);
-* the **fast tier** — an opcode-indexed handler table plus a per-image
-  decoded-instruction cache, in the style of pre-decoded interpreter
-  loops (Blanqui et al., "Designing a CPU model: from a pseudo-formal
-  document to fast code");
-* the **generic tier** (``fast_dispatch=False``) — the original
-  format/opcode if-chain, kept as the reference implementation the
-  property tests compare the other tiers against.
+  costs nothing at fetch (Section 2.2).  Code outside a superblock —
+  first visits, ctrl calls, in-flight expansions after a restore — runs
+  one instruction at a time through the same opcode-indexed handlers;
+* the **generic tier** — the format/opcode if-chain, kept as the
+  reference implementation the property tests compare the translated
+  tier against.
 
 The tier is chosen by the ``dispatch`` constructor argument, the
-``REPRO_DISPATCH`` environment variable ("translated"/"fast"/"generic"),
-or the default ("translated").  All tiers produce bit-identical traces and
-observation streams; telemetry-instrumented machines fall back to the fast
-interpretive tier so the per-opcode counting wrapper sees every dispatch.
+``REPRO_DISPATCH`` environment variable (one of :data:`DISPATCH_TIERS`),
+or the default ("translated").  Both tiers produce bit-identical traces
+and observation streams, with telemetry, profiling and observers on or
+off.  What each opcode reads, writes and does to control flow comes from
+the opcode table (:class:`~repro.isa.opcodes.Opcode`): the translator's
+step kinds are one lookup on its :class:`~repro.isa.opcodes.Kind`.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.controller import DiseController
 from repro.core.engine import ExpansionError
 from repro.errors import ExecutionError, ExecutionTimeout
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Format, OpClass, Opcode
+from repro.isa.opcodes import Format, Kind, OpClass, Opcode
 from repro.program.image import ProgramImage
 from repro.sim.memory import MASK64, Memory
 from repro.telemetry import profile as _profile_mod
@@ -102,7 +101,10 @@ FAULT_BAD_JUMP = 0xBAD1
 # here.  It is now part of the shared taxonomy in :mod:`repro.errors` and
 # carries the fault site (pc, instruction index, opcode) as fields.
 __all__ = ["Machine", "run_program", "ExecutionError", "ExecutionTimeout",
-           "FAULT_BAD_JUMP", "NUM_REGS", "ZERO"]
+           "DISPATCH_TIERS", "FAULT_BAD_JUMP", "NUM_REGS", "ZERO"]
+
+#: The selectable dispatch tiers, default first.
+DISPATCH_TIERS = ("translated", "generic")
 
 
 def _signed(value):
@@ -110,7 +112,7 @@ def _signed(value):
 
 
 # ----------------------------------------------------------------------
-# Fast-path opcode handlers
+# Opcode handlers (the translated tier's pre-bound semantics)
 # ----------------------------------------------------------------------
 # Each handler executes one opcode's semantics against the machine and
 # returns ``(ctrl, taken, target_idx, mem_addr, is_store, target_pc)``.
@@ -499,7 +501,7 @@ def _x_codeword(m, instr, pc, idx, trigger_idx, is_trigger):
                          pc=pc, index=idx, opcode=instr.opcode)
 
 
-#: Opcode -> fast-path executor.
+#: Opcode -> handler.
 _EXEC_TABLE: Dict[Opcode, object] = {
     Opcode.ADDQ: _x_addq, Opcode.SUBQ: _x_subq, Opcode.MULQ: _x_mulq,
     Opcode.AND: _x_and, Opcode.BIS: _x_bis, Opcode.XOR: _x_xor,
@@ -519,17 +521,6 @@ _EXEC_TABLE: Dict[Opcode, object] = {
     Opcode.RES0: _x_codeword, Opcode.RES1: _x_codeword,
     Opcode.RES2: _x_codeword, Opcode.RES3: _x_codeword,
 }
-
-#: Sentinel for "the caller did not resolve a handler" — distinct from
-#: None, which means "the table has no handler for this opcode".
-_UNRESOLVED = object()
-
-
-def _df(instr: Instruction) -> tuple:
-    """(source_regs, dest_reg, packed_srcs) for one instruction."""
-    srcs = instr.source_regs()
-    return (srcs, instr.dest_reg(), pack_srcs(srcs))
-
 
 # ----------------------------------------------------------------------
 # Superblock translation (the pre-decoded dispatch tier)
@@ -551,54 +542,39 @@ _B_DISE = 2     # DISE-internal branch: moves the DISEPC only
 _B_CTRL = 3     # app branches and jumps: predicted-path/squash semantics
 _B_HALT = 4
 
-_COND_BRANCHES = frozenset((Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BLE,
-                            Opcode.BGT, Opcode.BGE))
-_MEM_META = {
-    Opcode.LDQ: META_MEM, Opcode.LDL: META_MEM,
-    Opcode.STQ: META_MEM | META_STORE, Opcode.STL: META_MEM | META_STORE,
+_TAKEN_TO_TARGET = META_TAKEN | META_TARGET
+
+#: Control/memory kind -> (step kind, baked meta bits) of an app-level
+#: site.  Kinds left out stay interpretive: ctrl calls can swap production
+#: sets mid-run, and reserved codewords and stray DISE branches raise.
+_APP_STEPS = {
+    Kind.PLAIN: (_T_SIMPLE, 0),
+    Kind.OUTPUT: (_T_SIMPLE, 0),
+    Kind.LOAD: (_T_MEM, META_MEM),
+    Kind.STORE: (_T_MEM, META_MEM | META_STORE),
+    Kind.COND: (_T_BRANCH, CC_COND << CTRL_SHIFT),
+    Kind.UNCOND: (_T_JUMP, CC_UNCOND << CTRL_SHIFT | _TAKEN_TO_TARGET),
+    Kind.CALL: (_T_JUMP, CC_CALL << CTRL_SHIFT | _TAKEN_TO_TARGET),
+    Kind.INDIRECT: (_T_JUMP, CC_INDIRECT << CTRL_SHIFT | _TAKEN_TO_TARGET),
+    Kind.RETURN: (_T_JUMP, CC_RET << CTRL_SHIFT | _TAKEN_TO_TARGET),
+    Kind.HALT: (_T_HALT, 0),
 }
-_JUMP_CC = {Opcode.BR: CC_UNCOND, Opcode.BSR: CC_CALL, Opcode.JSR: CC_CALL,
-            Opcode.JMP: CC_INDIRECT, Opcode.RET: CC_RET}
 
-
-def _classify_app(opcode: Opcode):
-    """(step kind, baked meta bits) for an app-level opcode, or None when
-    the site must stay interpretive (ctrl calls can swap production sets
-    mid-run; reserved codewords and stray DISE branches raise)."""
-    if (opcode is Opcode.CTRL or opcode.is_reserved
-            or opcode.opclass is OpClass.DISE_BRANCH):
-        return None
-    if opcode in (Opcode.HALT, Opcode.FAULT):
-        return _T_HALT, 0
-    cc = _JUMP_CC.get(opcode)
-    if cc is not None:
-        return _T_JUMP, (cc << CTRL_SHIFT) | META_TAKEN | META_TARGET
-    if opcode in _COND_BRANCHES:
-        return _T_BRANCH, CC_COND << CTRL_SHIFT
-    extra = _MEM_META.get(opcode)
-    if extra is not None:
-        return _T_MEM, extra
-    return _T_SIMPLE, 0
-
-
-def _classify_body(opcode: Opcode):
-    """(body kind, ctrl meta bits) for a replacement-body opcode, or None
-    when the expansion cannot be pre-bound."""
-    if opcode is Opcode.CTRL or opcode.is_reserved:
-        return None
-    if opcode.opclass is OpClass.DISE_BRANCH:
-        return _B_DISE, CC_DISE << CTRL_SHIFT
-    if opcode in (Opcode.HALT, Opcode.FAULT):
-        return _B_HALT, 0
-    cc = _JUMP_CC.get(opcode)
-    if cc is not None:
-        return _B_CTRL, cc << CTRL_SHIFT
-    if opcode in _COND_BRANCHES:
-        return _B_CTRL, CC_COND << CTRL_SHIFT
-    extra = _MEM_META.get(opcode)
-    if extra is not None:
-        return _B_MEM, extra
-    return _B_SIMPLE, 0
+#: Control/memory kind -> (body kind, ctrl meta bits) of a replacement
+#: instruction.  Kinds left out keep the expansion interpretive.
+_BODY_STEPS = {
+    Kind.PLAIN: (_B_SIMPLE, 0),
+    Kind.OUTPUT: (_B_SIMPLE, 0),
+    Kind.LOAD: (_B_MEM, META_MEM),
+    Kind.STORE: (_B_MEM, META_MEM | META_STORE),
+    Kind.COND: (_B_CTRL, CC_COND << CTRL_SHIFT),
+    Kind.UNCOND: (_B_CTRL, CC_UNCOND << CTRL_SHIFT),
+    Kind.CALL: (_B_CTRL, CC_CALL << CTRL_SHIFT),
+    Kind.INDIRECT: (_B_CTRL, CC_INDIRECT << CTRL_SHIFT),
+    Kind.RETURN: (_B_CTRL, CC_RET << CTRL_SHIFT),
+    Kind.DISE: (_B_DISE, CC_DISE << CTRL_SHIFT),
+    Kind.HALT: (_B_HALT, 0),
+}
 
 
 #: Maximum app-level instructions per superblock.
@@ -629,32 +605,32 @@ class Machine:
 
     def __init__(self, image: ProgramImage,
                  controller: Optional[DiseController] = None,
-                 record_trace=True, fast_dispatch=True, observer=None,
+                 record_trace=True, observer=None,
                  dispatch: Optional[str] = None):
         self.image = image
         self.controller = controller
         self.engine = controller.engine if controller is not None else None
         self.record_trace = record_trace
         if dispatch is None:
-            if not fast_dispatch:
-                dispatch = "generic"
-            else:
-                dispatch = os.environ.get("REPRO_DISPATCH") or "translated"
-        if dispatch not in ("translated", "fast", "generic"):
+            dispatch = os.environ.get("REPRO_DISPATCH") or DISPATCH_TIERS[0]
+        if dispatch not in DISPATCH_TIERS:
             raise ValueError(
-                f"unknown dispatch tier {dispatch!r}: expected 'translated', "
-                "'fast', or 'generic'"
+                f"unknown dispatch tier {dispatch!r}: expected one of "
+                f"{', '.join(DISPATCH_TIERS)}"
             )
         self.dispatch = dispatch
-        self.fast_dispatch = dispatch != "generic"
-        self._execute = (self._execute_fast if self.fast_dispatch
-                         else self._execute_generic)
         # The translated tier keeps running under telemetry: superblock
         # dispatches bypass the counting wrapper, so _exec_block counts
         # opcodes itself — app steps batched at block boundaries, body
         # instructions inline — and only the interpretive fallback steps
         # go through the wrapper.
         self._translated = dispatch == "translated"
+        # The dispatch function takes the machine as its first argument:
+        # a bound method stored here would make every machine a reference
+        # cycle, freed only by the cyclic collector, so parked and closed
+        # machines would outlive their last use.
+        self._execute = (Machine._execute_table if self._translated
+                         else Machine._execute_generic)
         # Telemetry and verification observers are wired at construction
         # time: when absent, no wrapper is installed and the dispatch path
         # is identical to the uninstrumented machine (tests/test_telemetry.py
@@ -690,18 +666,12 @@ class Machine:
         self.control_handlers: Dict[int, callable] = {}
 
         # Per-image decoded-instruction cache: index -> (instruction,
-        # (source_regs, dest_reg), is_reserved, handler, is_trigger).
-        # Filled lazily so huge images only pay for the instructions they
-        # actually execute; flushed when the engine's production set
-        # changes (is_trigger depends on it).
+        # is_reserved, handler, is_trigger).  Filled lazily so huge images
+        # only pay for the instructions they actually execute; flushed
+        # when the engine's production set changes (is_trigger depends on
+        # it).
         self._decode: List[Optional[tuple]] = [None] * len(image.instructions)
         self._decode_gen = self.engine.generation if self.engine else 0
-        # Dataflow cache for dynamic (replacement) instructions.  Keyed by
-        # id(); the entry holds a strong reference to the instruction, so an
-        # id can never be recycled while its entry is alive.  Scoped to this
-        # machine, unlike the old module-global cache, so one long-lived
-        # process does not accumulate every image's instructions.
-        self._dyn_dataflow: Dict[int, tuple] = {}
 
         # In-flight expansion state.
         self._exp = None
@@ -744,9 +714,10 @@ class Machine:
         inner = self._execute
         observe = observer.observe
 
-        def observing_execute(instr, pc, idx, **kwargs):
-            out = inner(instr, pc, idx, **kwargs)
-            observe(self, instr, pc, kwargs["disepc"], kwargs["is_trigger"])
+        def observing_execute(machine, instr, pc, idx, **kwargs):
+            out = inner(machine, instr, pc, idx, **kwargs)
+            observe(machine, instr, pc, kwargs["disepc"],
+                    kwargs["is_trigger"])
             return out
 
         self._execute = observing_execute
@@ -764,10 +735,10 @@ class Machine:
                          "expansions": 0, "pt_misses": 0, "rt_misses": 0,
                          "opcodes": {}}
 
-        def counting_execute(instr, pc, idx, **kwargs):
+        def counting_execute(machine, instr, pc, idx, **kwargs):
             opcode = instr.opcode
             counts[opcode] = counts.get(opcode, 0) + 1
-            return inner(instr, pc, idx, **kwargs)
+            return inner(machine, instr, pc, idx, **kwargs)
 
         self._execute = counting_execute
 
@@ -784,9 +755,7 @@ class Machine:
         wrapped and retirements are attributed to *dynamic basic-block
         leaders*: any PC reached non-sequentially starts a new leader.
         """
-        tier = ("translated" if self._translated
-                else ("fast" if self.fast_dispatch else "generic"))
-        profile = _profile_mod.new_profile(tier)
+        profile = _profile_mod.new_profile(self.dispatch)
         self._profile = profile
         if self._translated:
             return
@@ -796,8 +765,8 @@ class Machine:
         productions = profile["production"]
         state = {"last": None, "leader": 0}
 
-        def profiling_execute(instr, pc, idx, **kwargs):
-            if self._exp is None:
+        def profiling_execute(machine, instr, pc, idx, **kwargs):
+            if machine._exp is None:
                 last = state["last"]
                 if last is None or pc != last + 4:
                     state["leader"] = pc
@@ -805,13 +774,13 @@ class Machine:
                 leader = state["leader"]
                 blocks[leader] = blocks.get(leader, 0) + 1
             else:
-                seq_id = self._exp.seq_id
+                seq_id = machine._exp.seq_id
                 productions[seq_id] = productions.get(seq_id, 0) + 1
                 if kwargs.get("disepc") == 0 and kwargs.get("fetch_addr") \
                         is not None:
                     triggers[pc] = triggers.get(pc, 0) + 1
                 state["last"] = None
-            return inner(instr, pc, idx, **kwargs)
+            return inner(machine, instr, pc, idx, **kwargs)
 
         self._execute = profiling_execute
 
@@ -837,9 +806,9 @@ class Machine:
                 continue
             _telemetry.counter(f"sim.opcode.{opcode.name}").inc(delta)
             prev_opcodes[opcode] = count
-            if opcode in (Opcode.LDQ, Opcode.LDL):
+            if opcode.kind is Kind.LOAD:
                 loads += delta
-            elif opcode in (Opcode.STQ, Opcode.STL):
+            elif opcode.kind is Kind.STORE:
                 stores += delta
         if loads:
             _telemetry.counter("sim.mem.loads").inc(loads)
@@ -874,23 +843,10 @@ class Machine:
         instr = self.image.instructions[idx]
         opcode = instr.opcode
         engine = self.engine
-        entry = (instr, _df(instr), opcode.is_reserved,
-                 _EXEC_TABLE.get(opcode),
+        entry = (instr, opcode.is_reserved, _EXEC_TABLE[opcode],
                  engine is not None and opcode in engine.trigger_opcodes)
         self._decode[idx] = entry
         return entry
-
-    def _dataflow(self, instr: Instruction) -> tuple:
-        return self._dyn_info(instr)[0]
-
-    def _dyn_info(self, instr: Instruction) -> tuple:
-        """((source_regs, dest_reg, packed_srcs), handler) for a dynamic
-        (replacement) instruction, cached by identity."""
-        entry = self._dyn_dataflow.get(id(instr))
-        if entry is None or entry[0] is not instr:
-            entry = (instr, _df(instr), _EXEC_TABLE.get(instr.opcode))
-            self._dyn_dataflow[id(instr)] = entry
-        return entry[1], entry[2]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -936,7 +892,7 @@ class Machine:
             ) from None
         if entry is None:
             entry = self._decode_at(idx)
-        instr, dataflow, is_reserved, handler, is_engine_trigger = entry
+        instr, is_reserved, handler, is_engine_trigger = entry
         pc = image.addresses[idx]
         if engine is not None:
             if is_engine_trigger:
@@ -970,9 +926,8 @@ class Machine:
                 pc=pc, index=idx, opcode=instr.opcode,
             )
         kind, taken, target_idx = self._execute(
-            instr, pc, idx, fetch_addr=pc, disepc=0, trigger_idx=idx,
-            is_trigger=True, expansion_event=None, dataflow=dataflow,
-            handler=handler,
+            self, instr, pc, idx, fetch_addr=pc, disepc=0, trigger_idx=idx,
+            is_trigger=True, expansion_event=None, handler=handler,
         )
         if self.halted:
             return
@@ -995,11 +950,10 @@ class Machine:
         event = self._exp_event
         self._exp_event = None
 
-        dataflow, handler = self._dyn_info(instr)
         kind, taken, target_idx = self._execute(
-            instr, pc, idx, fetch_addr=fetch_addr, disepc=disepc,
+            self, instr, pc, idx, fetch_addr=fetch_addr, disepc=disepc,
             trigger_idx=idx, is_trigger=is_trigger_copy,
-            expansion_event=event, dataflow=dataflow, handler=handler,
+            expansion_event=event, handler=_EXEC_TABLE[instr.opcode],
         )
         if self.halted:
             return
@@ -1190,7 +1144,7 @@ class Machine:
         entry = self._decode[idx]
         if entry is None:
             entry = self._decode_at(idx)
-        instr, dataflow, is_reserved, handler, is_engine_trigger = entry
+        instr, is_reserved, handler, is_engine_trigger = entry
         opcode = instr.opcode
         pc = self.image.addresses[idx]
         probe = None
@@ -1210,17 +1164,16 @@ class Machine:
             # Trigger opcode, but no production matches this site: the
             # PT is still probed per dynamic instance.
             probe = opcode
-        if handler is None:
-            return False
-        cls = _classify_app(opcode)
+        cls = _APP_STEPS.get(opcode.kind)
         if cls is None:
             return False
         kind, extra = cls
         meta = opcode.code | extra | META_FETCH | META_TRIGGER
-        dest = dataflow[1]
+        dest = instr.dest_reg()
         if dest is not None:
             meta |= (dest + 1) << DEST_SHIFT
-        return (kind, instr, pc, idx, handler, meta, dataflow[2], probe, None)
+        return (kind, instr, pc, idx, handler, meta,
+                pack_srcs(instr.source_regs()), probe, None)
 
     def _translate_body(self, exp) -> Optional[list]:
         """Pre-bind one instantiated replacement body, or None when any
@@ -1246,23 +1199,22 @@ class Machine:
         offsets = exp.trigger_offsets
         body = []
         for k, binstr in enumerate(instrs):
-            cls = _classify_body(binstr.opcode)
+            bop = binstr.opcode
+            cls = _BODY_STEPS.get(bop.kind)
             if cls is None:
-                return None
-            dataflow, bhandler = self._dyn_info(binstr)
-            if bhandler is None:
                 return None
             bkind, extra = cls
             is_copy = k in offsets
-            meta = binstr.opcode.code | extra | (k << DISEPC_SHIFT)
+            meta = bop.code | extra | (k << DISEPC_SHIFT)
             if k == 0:
                 meta |= META_FETCH
             if is_copy:
                 meta |= META_TRIGGER
-            dest = dataflow[1]
+            dest = binstr.dest_reg()
             if dest is not None:
                 meta |= (dest + 1) << DEST_SHIFT
-            body.append((bkind, binstr, bhandler, meta, dataflow[2], is_copy))
+            body.append((bkind, binstr, _EXEC_TABLE[bop], meta,
+                         pack_srcs(binstr.source_regs()), is_copy))
         return body
 
     def _exec_block(self, block, budget: int) -> int:
@@ -1624,37 +1576,27 @@ class Machine:
             self._exp_event = None
 
     # ------------------------------------------------------------------
-    # Instruction semantics — fast path (opcode-indexed handler table)
+    # Instruction semantics — the handler table (interpretive steps of
+    # the translated tier)
     # ------------------------------------------------------------------
-    def _execute_fast(self, instr, pc, idx, fetch_addr, disepc, trigger_idx,
-                      is_trigger, expansion_event, dataflow=None,
-                      handler=_UNRESOLVED):
-        """Execute one dynamic instruction via the handler table; returns
-        (ctrl_kind, taken, target_idx) and records the trace op."""
-        if handler is _UNRESOLVED:
-            handler = _EXEC_TABLE.get(instr.opcode)
-        if handler is None:
-            # New or exotic opcode with no fast handler: the generic
-            # if-chain raises the precise model-level error.
-            return self._execute_generic(
-                instr, pc, idx, fetch_addr, disepc, trigger_idx,
-                is_trigger, expansion_event, dataflow,
-            )
+    def _execute_table(self, instr, pc, idx, fetch_addr, disepc, trigger_idx,
+                       is_trigger, expansion_event, handler):
+        """Execute one dynamic instruction through its opcode's handler;
+        returns (ctrl_kind, taken, target_idx) and records the trace op."""
         ctrl, taken, target_idx, mem_addr, is_store, target_pc = handler(
             self, instr, pc, idx, trigger_idx, is_trigger
         )
         self.instructions += 1
         if self.record_trace:
-            if dataflow is None:
-                dataflow = self._dataflow(instr)
             if ctrl is not None and taken and target_pc is None and \
                     target_idx is not None:
                 addresses = self.image.addresses
                 target_pc = addresses[target_idx] \
                     if target_idx < len(addresses) else 0
             self._cols.append(
-                pc, disepc, instr.opcode.code, dataflow[2], dataflow[1],
-                mem_addr, is_store, fetch_addr is not None, ctrl, taken,
+                pc, disepc, instr.opcode.code,
+                pack_srcs(instr.source_regs()), instr.dest_reg(), mem_addr,
+                is_store, fetch_addr is not None, ctrl, taken,
                 target_pc if taken else None, is_trigger, expansion_event,
             )
         return ctrl, taken, target_idx
@@ -1664,7 +1606,7 @@ class Machine:
     # ------------------------------------------------------------------
     def _execute_generic(self, instr, pc, idx, fetch_addr, disepc,
                          trigger_idx, is_trigger, expansion_event,
-                         dataflow=None, handler=None):
+                         handler=None):
         """Execute one dynamic instruction; returns (ctrl_kind, taken,
         target_idx) and records the trace op."""
         image = self.image
@@ -1837,16 +1779,15 @@ class Machine:
 
         self.instructions += 1
         if self.record_trace:
-            if dataflow is None:
-                dataflow = self._dataflow(instr)
             if ctrl is not None and taken and target_pc is None and \
                     target_idx is not None:
                 target_pc = image.addresses[target_idx] \
                     if target_idx < len(image.addresses) else 0
             self._cols.append(
-                pc, disepc, op.code, dataflow[2], dataflow[1], mem_addr,
-                is_store, fetch_addr is not None, ctrl, taken,
-                target_pc if taken else None, is_trigger, expansion_event,
+                pc, disepc, op.code, pack_srcs(instr.source_regs()),
+                instr.dest_reg(), mem_addr, is_store, fetch_addr is not None,
+                ctrl, taken, target_pc if taken else None, is_trigger,
+                expansion_event,
             )
         return ctrl, taken, target_idx
 

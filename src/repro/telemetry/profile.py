@@ -6,18 +6,19 @@ hot.  This profiler attributes retirement counts to:
 
 * **superblocks** — the entry PC of each translated superblock (translated
   tier), compiled block (batch lanes), or dynamic basic-block leader (the
-  interpretive fast/generic tiers, where no superblocks exist: a leader is
-  any PC reached non-sequentially);
+  interpretive generic tier, where no superblocks exist: a leader is any
+  PC reached non-sequentially);
 * **trigger PCs** — expansions taken per trigger site;
 * **productions** — DISE-injected instructions per production (``seq<N>``).
 
-Attribution is block-granular on the fast tiers (one dict bump per
-superblock execution, not per instruction), and on the translated tier
-the hooks live in the superblock runner, so dispatch stays the unwrapped
-bound method (``tests/test_tracing.py`` pins this).  Like everything in
-:mod:`repro.telemetry`, it is opt-in (``REPRO_TRACE_PROFILE``) and gated
-at machine construction: with the profiler off, no hook exists on the
-dispatch path and the structural disabled-mode contract of PR 3 holds.
+Attribution is block-granular on the translated and batch tiers (one
+dict bump per superblock execution, not per instruction), and on the
+translated tier the hooks live in the superblock runner, so dispatch
+stays unwrapped (``tests/test_tracing.py`` pins this).
+Like everything in :mod:`repro.telemetry`, it is opt-in
+(``REPRO_TRACE_PROFILE``) and gated at machine construction: with the
+profiler off, no hook exists on the dispatch path and the structural
+disabled-mode contract of :mod:`repro.telemetry` holds.
 
 Counts are process-local dicts while running; :func:`publish` folds their
 growth into the telemetry registry as ``profile.*`` counters (when

@@ -63,8 +63,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import Kind, Opcode
 from repro.isa.registers import NUM_USER_REGS
 from repro.sim.memory import MASK64
 
@@ -126,14 +125,11 @@ _NO_EFFECT, _DEST_RA, _DEST_RC, _STORE, _STORE32, _OUT = range(6)
 
 
 def _effect_kind(op: Opcode) -> int:
-    # A probe with distinct register fields shows which one dest_reg()
-    # names, so the destination rule stays written only there.
-    dest = Instruction(op, ra=1, rb=2, rc=3).dest_reg()
-    if dest is not None:
-        return {1: _DEST_RA, 3: _DEST_RC}[dest]
-    if op.is_store:
+    if op.writes is not None:
+        return _DEST_RA if op.writes == "ra" else _DEST_RC
+    if op.kind is Kind.STORE:
         return _STORE32 if op is Opcode.STL else _STORE
-    return _OUT if op is Opcode.OUT else _NO_EFFECT
+    return _OUT if op.kind is Kind.OUTPUT else _NO_EFFECT
 
 
 #: ``opcode -> (name bytes, effect kind)``.

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.compose import (
     ComposeError,
+    _pattern_matches_rinstr,
+    _resolve_conflicts,
     apply_to_spec,
     concatenate_specs,
     merge_nonnested,
@@ -21,8 +23,9 @@ from repro.core.replacement import (
     ReplacementSpec,
     identity_replacement,
 )
+from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass, Opcode
-from repro.isa.registers import dise_reg
+from repro.isa.registers import dise_reg, is_dise_reg
 
 MFI = """
 P1: T.OPCLASS == store -> R1
@@ -117,6 +120,40 @@ class TestNestedComposition:
         assert spec.instrs[0].opcode is Opcode.SRL
 
 
+    def test_outer_link_register_pattern_inlined_at_bsr_slot(self):
+        # Dynamic matching sees T.RD == ra on a `bsr ra` the inner set
+        # inserts, so static nesting must inline the outer production there.
+        inner = parse_productions("""
+P1: T.OPCLASS == store -> R1
+R1:
+    bsr   ra, 0
+    T.INSN
+""", name="inner")
+        outer = parse_productions("""
+P1: T.OP == bsr && T.RD == ra -> R1
+R1:
+    nop
+    T.INSN
+""", name="outer")
+        composed = nest(inner=inner, outer=outer)
+        spec = composed.replacement(
+            next(p.seq_id for p in composed.productions
+                 if p.pattern.opclass is OpClass.STORE)
+        )
+        assert [r.render() for r in spec.instrs] == \
+            ["nop", "bsr ra, 0", "T.INSN"]
+
+    @pytest.mark.parametrize("role", ["rs", "rt", "rd"])
+    def test_codeword_slot_roles_match_like_the_codeword(self, role):
+        slot = ReplacementInstr(opcode=Opcode.RES0, ra=Lit(1), rb=Lit(2),
+                                rc=Lit(3), imm=Lit(9))
+        codeword = Instruction(Opcode.RES0, ra=1, rb=2, rc=3, imm=9)
+        for required in (1, 2, 3):
+            pattern = PatternSpec(opcode=Opcode.RES0, regs={role: required})
+            assert (_pattern_matches_rinstr(pattern, slot) is True) == \
+                pattern.matches(codeword), required
+
+
 def TrigFieldP1():
     from repro.core.directives import TrigField
 
@@ -166,6 +203,16 @@ R1:
         assert spec.instrs[0].ra == Lit(dise_reg(1))
         srl = spec.instrs[1]
         assert srl.rc != Lit(dise_reg(1))
+
+    def test_linking_branch_renamed_away_from_inner_registers(self):
+        outer = ReplacementSpec(instrs=(
+            ReplacementInstr(opcode=Opcode.BSR, ra=Lit(dise_reg(3)),
+                             imm=Lit(0)),
+            TRIGGER_INSN,
+        ))
+        assert spec_dedicated_usage(outer)[1] == {dise_reg(3)}
+        link = _resolve_conflicts(outer, {dise_reg(3)}).instrs[0].ra
+        assert link != Lit(dise_reg(3)) and is_dise_reg(link.value)
 
     def test_rename_dedicated_helper(self):
         spec = parse_productions(MFI, name="m").replacement(1)

@@ -1,5 +1,7 @@
 """Unit tests for the Instruction value type: trigger roles and dataflow."""
 
+import itertools
+
 import pytest
 
 from repro.isa.build import (
@@ -24,9 +26,12 @@ from repro.isa.build import (
     ret,
     stq,
 )
+from repro.core.compose import _rinstr_role, _rinstr_written_dedicated
+from repro.core.directives import Lit
+from repro.core.replacement import ReplacementInstr
 from repro.isa.instruction import Instruction, NOP
-from repro.isa.opcodes import Opcode
-from repro.isa.registers import ZERO_REG
+from repro.isa.opcodes import Format, OpClass, Opcode
+from repro.isa.registers import ZERO_REG, is_dise_reg
 
 
 class TestTriggerRoles:
@@ -153,3 +158,136 @@ class TestRendering:
 
     def test_nop_constant(self):
         assert NOP.opcode is Opcode.NOP
+
+
+# ----------------------------------------------------------------------
+# The opcode table against the per-format if-chains it replaced
+# ----------------------------------------------------------------------
+# The accessors as Instruction wrote them before the operand facts moved
+# into the opcode table, kept verbatim as the reference.
+def _reference_rs(self):
+    fmt = self.format
+    if fmt is Format.MEM:
+        return self.rb
+    if fmt is Format.OPERATE:
+        return self.ra
+    if fmt is Format.BRANCH:
+        return self.ra
+    if fmt is Format.JUMP:
+        return self.rb
+    if fmt is Format.CODEWORD:
+        return self.ra
+    return None
+
+
+def _reference_rt(self):
+    fmt = self.format
+    if fmt is Format.MEM and self.is_store:
+        return self.ra
+    if fmt is Format.OPERATE:
+        return self.rb
+    if fmt is Format.CODEWORD:
+        return self.rb
+    return None
+
+
+def _reference_rd(self):
+    fmt = self.format
+    if fmt is Format.MEM and self.is_load:
+        return self.ra
+    if fmt is Format.OPERATE:
+        return self.rc
+    if fmt is Format.JUMP:
+        return self.ra
+    if fmt is Format.BRANCH and self.opclass is OpClass.UNCOND_BRANCH:
+        return self.ra
+    if fmt is Format.CODEWORD:
+        return self.rc
+    return None
+
+
+def _reference_source_regs(self):
+    op, fmt = self.opcode, self.format
+    srcs = []
+    if fmt is Format.MEM:
+        srcs.append(self.rb)
+        if self.is_store:
+            srcs.append(self.ra)
+    elif fmt is Format.OPERATE:
+        srcs.append(self.ra)
+        if self.rb is not None:
+            srcs.append(self.rb)
+        if op in (Opcode.CMOVEQ, Opcode.CMOVNE):
+            srcs.append(self.rc)  # conditional move reads the old dest
+    elif fmt is Format.BRANCH:
+        if op.is_cond_branch or op.is_dise_branch or \
+                op in (Opcode.OUT, Opcode.CTRL):
+            srcs.append(self.ra)
+    elif fmt is Format.JUMP:
+        srcs.append(self.rb)
+    elif fmt is Format.CODEWORD:
+        # A raw codeword's register parameters are conservatively treated
+        # as sources; after DISE expansion the replacement sequence's own
+        # dataflow governs.
+        srcs.extend(r for r in (self.ra, self.rb, self.rc) if r is not None)
+    return tuple(r for r in srcs if r is not None and r != ZERO_REG)
+
+
+def _reference_dest_reg(self):
+    op, fmt = self.opcode, self.format
+    dest = None
+    if fmt is Format.MEM and (self.is_load or op in (Opcode.LDA, Opcode.LDAH)):
+        dest = self.ra
+    elif fmt is Format.OPERATE:
+        dest = self.rc
+    elif fmt is Format.JUMP:
+        dest = self.ra
+    elif fmt is Format.BRANCH and self.opclass is OpClass.UNCOND_BRANCH:
+        dest = self.ra
+    if dest == ZERO_REG:
+        return None
+    return dest
+
+
+_FIELD_VALUES = (None, 0, ZERO_REG, 35)   # 35 is dedicated register $dr3
+
+
+def _lit(value):
+    return None if value is None else Lit(value)
+
+
+class TestOpcodeTable:
+    @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.name)
+    def test_accessors_match_the_reference_chains(self, opcode):
+        for ra, rb, rc, imm in itertools.product(
+                _FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES, (None, 5)):
+            instr = Instruction(opcode, ra=ra, rb=rb, rc=rc, imm=imm)
+            assert (instr.rs, instr.rt, instr.rd) == (
+                _reference_rs(instr), _reference_rt(instr),
+                _reference_rd(instr)), instr
+            assert instr.source_regs() == _reference_source_regs(instr), \
+                instr
+            assert instr.dest_reg() == _reference_dest_reg(instr), instr
+
+    @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.name)
+    def test_composer_roles_match_instruction(self, opcode):
+        for ra, rb, rc in itertools.product(_FIELD_VALUES, repeat=3):
+            instr = Instruction(opcode, ra=ra, rb=rb, rc=rc)
+            rinstr = ReplacementInstr(opcode=opcode, ra=_lit(ra),
+                                      rb=_lit(rb), rc=_lit(rc))
+            for role in ("rs", "rt", "rd"):
+                assert _rinstr_role(rinstr, role) == \
+                    _lit(getattr(instr, role)), (instr, role)
+            dest = instr.dest_reg()
+            assert _rinstr_written_dedicated(rinstr) == (
+                {dest} if dest is not None and is_dise_reg(dest)
+                else set()), instr
+
+    def test_equal_instructions_share_their_operand_facts(self):
+        first, second = addq(1, 2, 3), addq(1, 2, 3)
+        assert first.source_regs() is second.source_regs()
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == (
+            "Instruction(opcode=<Opcode.ADDQ: (16, <Format.OPERATE: "
+            "'operate'>, <OpClass.INT_ARITH: 'int_arith'>, 1)>, ra=1, rb=2, "
+            "rc=3, imm=None, target=None)")

@@ -280,6 +280,8 @@ class TestSessionLifecycle:
             client.open_session({"benchmark": "gzip", "source": "halt"})
         with pytest.raises(ProtocolError):
             client.open_session({})
+        with pytest.raises(ProtocolError):
+            client.open_session(dict(SPEC, dispatch="fast"))
 
     def test_events_stream(self):
         client = InProcessClient(make_core(), tenant="t0")
@@ -620,6 +622,18 @@ class TestShutdownResume:
         path = tmp_path / "sessions.json"
         doc = json.loads(path.read_text())
         doc["sessions"][0]["observer"]["digest"] = "11" * 31
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProtocolError):
+            make_core(state_dir=tmp_path)
+
+    def test_unknown_dispatch_tier_in_state_rejected(self, tmp_path):
+        core = make_core(state_dir=tmp_path, admin_token="op-secret")
+        client = InProcessClient(core, tenant="t0")
+        client.step(client.open_session(dict(SPEC)), steps=100)
+        client.shutdown("op-secret")
+        path = tmp_path / "sessions.json"
+        doc = json.loads(path.read_text())
+        doc["sessions"][0]["spec"]["dispatch"] = "fast"
         path.write_text(json.dumps(doc))
         with pytest.raises(ProtocolError):
             make_core(state_dir=tmp_path)

@@ -1,5 +1,8 @@
 """Unit tests for the functional simulator, including DISEPC semantics."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.controller import DiseController
@@ -50,6 +53,9 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import dise_reg, parse_reg
 from repro.program.builder import ProgramBuilder
 from repro.sim.functional import ExecutionError, Machine, run_program
+from repro.telemetry import enabled_scope
+from repro.telemetry.profile import profile_scope
+from repro.verify.observe import Observer
 
 from conftest import A0, A1, RA, T0, T1, V0, ZERO, build_loop_program
 
@@ -282,6 +288,26 @@ class TestTraceRecording:
                  if o.mem_addr is not None and not o.is_store]
         stores = [o for o in result.ops if o.is_store]
         assert loads and stores
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("dispatch", ["translated", "generic"])
+    def test_dropped_machine_freed_without_the_cycle_collector(
+            self, loop_image, dispatch):
+        # Served sessions park and close machines all the time; one that
+        # formed a reference cycle would hold its memory until the cyclic
+        # collector happened to run.  Every dispatch wrapper is installed.
+        gc.disable()
+        try:
+            with enabled_scope(True), profile_scope(True):
+                machine = Machine(loop_image, observer=Observer("full"),
+                                  dispatch=dispatch)
+                machine.run()
+                dropped = weakref.ref(machine)
+                del machine
+            assert dropped() is None
+        finally:
+            gc.enable()
 
 
 def stray_codeword_image():

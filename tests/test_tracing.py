@@ -362,15 +362,15 @@ class TestProfiler:
         machine = _loop_machine()
         assert machine._profile is None
         assert machine._translated
-        assert machine._execute.__func__ is Machine._execute_fast
+        assert machine._execute is Machine._execute_table
 
     def test_translated_tier_attributes_blocks_and_triggers(self):
         with profile_mod.profile_scope(True):
             machine = _loop_machine()
             machine.run()
         # The translated tier's hooks live in the superblock runner, so
-        # dispatch stays the unwrapped bound method.
-        assert machine._execute.__func__ is Machine._execute_fast
+        # dispatch stays the unwrapped handler-table function.
+        assert machine._execute is Machine._execute_table
         profile = machine._profile
         assert profile["tier"] == "translated"
         assert profile["block"] and profile["trigger"]
@@ -390,21 +390,21 @@ class TestProfiler:
         assert outputs[0] == outputs[1] and outputs[0]
 
     def test_interpretive_tier_publishes_registry_counters(self):
-        # On the interpretive fast tier (requested explicitly — telemetry
-        # no longer forces a translated machine off its tier) the profiler
-        # must attribute to dynamic leaders and publish profile.* counters
-        # so worker deltas merge like any other metric.
+        # On the interpretive generic tier (requested explicitly —
+        # telemetry does not force a translated machine off its tier) the
+        # profiler must attribute to dynamic leaders and publish profile.*
+        # counters so worker deltas merge like any other metric.
         with enabled_scope(True), profile_mod.profile_scope(True):
             registry_mod.get_registry().reset()
-            machine = _loop_machine(dispatch="fast")
-            assert machine._profile["tier"] == "fast"
+            machine = _loop_machine(dispatch="generic")
+            assert machine._profile["tier"] == "generic"
             machine.run()
             snap = registry_mod.snapshot()
-        blocks = [n for n in snap if n.startswith("profile.block.fast.")]
+        blocks = [n for n in snap if n.startswith("profile.block.generic.")]
         assert blocks
         assert any(n.startswith("profile.trigger.") for n in snap)
         top = profile_mod.top_blocks(snap, n=3)
-        assert top and top[0][0] == "fast"
+        assert top and top[0][0] == "generic"
         # Repeated publishes are delta-safe: a second result() call adds 0.
         with enabled_scope(True), profile_mod.profile_scope(True):
             machine.result()

@@ -41,7 +41,7 @@ from repro.verify.observe import Observer
 
 from conftest import A1, T0, ZERO
 
-TIERS = ("generic", "fast", "translated")
+TIERS = ("generic", "translated")
 
 #: The MFI-style store check from the precise-state tests: every store's
 #: address is segment-checked against $dr2 before it retires.  The branch
@@ -102,20 +102,17 @@ def make_machine(dispatch, image=None, controller=None, observer=None,
 class TestObservationalEquivalence:
     def test_outcomes_identical_across_tiers(self):
         results = {tier: make_machine(tier).run() for tier in TIERS}
-        reference = results["generic"]
-        for tier in ("fast", "translated"):
-            result = results[tier]
-            assert result.outputs == reference.outputs, tier
-            assert result.final_regs == reference.final_regs, tier
-            assert result.instructions == reference.instructions, tier
-            assert result.expansions == reference.expansions, tier
-            assert result.final_memory == reference.final_memory, tier
+        reference, result = results["generic"], results["translated"]
+        assert result.outputs == reference.outputs
+        assert result.final_regs == reference.final_regs
+        assert result.instructions == reference.instructions
+        assert result.expansions == reference.expansions
+        assert result.final_memory == reference.final_memory
 
     def test_serialized_traces_byte_identical_across_tiers(self):
         blobs = {tier: serialize_trace(make_machine(tier).run())
                  for tier in TIERS}
         assert blobs["translated"] == blobs["generic"]
-        assert blobs["fast"] == blobs["generic"]
 
     def test_observer_digests_identical_across_tiers(self):
         digests = {}
@@ -124,8 +121,17 @@ class TestObservationalEquivalence:
             make_machine(tier, observer=observer).run()
             digests[tier] = (observer.hexdigest(), observer.count)
         assert digests["translated"] == digests["generic"]
-        assert digests["fast"] == digests["generic"]
         assert digests["generic"][1] > 0
+
+
+    def test_only_the_two_tiers_are_selectable(self, monkeypatch):
+        with pytest.raises(ValueError):
+            make_machine("fast")
+        monkeypatch.setenv("REPRO_DISPATCH", "fast")
+        with pytest.raises(ValueError):
+            make_machine(None)
+        monkeypatch.setenv("REPRO_DISPATCH", "generic")
+        assert make_machine(None).dispatch == "generic"
 
 
 class TestPreciseStateTranslated:
@@ -142,7 +148,6 @@ class TestPreciseStateTranslated:
                     machine.run(max_steps=budget)
                 states[tier] = machine.checkpoint()
             assert states["translated"] == states["generic"], budget
-            assert states["fast"] == states["generic"], budget
 
     def test_checkpoint_restore_translated_at_every_boundary(self):
         """Interrupt a translated run anywhere — including mid-sequence —
@@ -214,7 +219,6 @@ class TestInvalidation:
             outcomes[tier] = (result.outputs, result.final_regs,
                               result.instructions, result.expansions)
         assert outcomes["translated"] == outcomes["generic"]
-        assert outcomes["fast"] == outcomes["generic"]
         # The audit set really took over: the store counter is non-zero.
         assert outcomes["generic"][1][dise_reg(0)] > 0
 

@@ -44,13 +44,12 @@ class TestObserver:
     def test_disabled_machine_is_structurally_unwrapped(self, loop_image):
         machine = Machine(loop_image)
         assert machine._observer is None
-        assert machine._execute.__func__ is Machine._execute_fast
+        assert machine._execute is Machine._execute_table
 
     def test_observer_machine_wraps_dispatch(self, loop_image):
         machine = Machine(loop_image, observer=Observer("full"))
         assert machine._observer is not None
-        assert getattr(machine._execute, "__func__", None) \
-            is not Machine._execute_fast
+        assert machine._execute is not Machine._execute_table
 
     def test_observation_does_not_change_execution(self, loop_image):
         baseline = run_program(loop_image, record_trace=False)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BranchPredictorConfig:
@@ -131,8 +133,9 @@ def replay_control(columns, predictor_config, predict_replacement,
     the action column under every other configuration axis.
 
     ``passes=2`` models ``warm_start`` (first pass trains only, second
-    records).  Call set, arguments and ordering match the reference
-    engine's replay loop exactly, so predictor state evolves identically.
+    records).  Only control ops are walked; call set, arguments and
+    ordering match the reference engine's replay loop exactly, so
+    predictor state evolves identically.
     """
     from repro.sim.trace import (
         CC_CALL,
@@ -151,21 +154,21 @@ def replay_control(columns, predictor_config, predict_replacement,
     predictor = BranchPredictor(predictor_config)
     predict_cond = predictor.predict_and_update
     predict_target = predictor.predict_indirect
-    pc_col = columns.pc
-    meta_col = columns.meta
-    tgt_col = columns.target
-    n = len(pc_col)
-    actions = bytearray(n)
+    meta_col = np.frombuffer(columns.meta, dtype=np.uint64)
+    ctrl_ops = np.flatnonzero((meta_col >> CTRL_SHIFT) & 0xF)
+    steps = list(zip(
+        ctrl_ops.tolist(),
+        meta_col[ctrl_ops].tolist(),
+        np.frombuffer(columns.pc, dtype=np.uint64)[ctrl_ops].tolist(),
+        np.frombuffer(columns.target, dtype=np.uint64)[ctrl_ops].tolist(),
+    ))
+    actions = bytearray(len(meta_col))
     cond_branches = mispredicts = dise_redirects = 0
     for p in range(passes):
         record = p == passes - 1
         cond_branches = mispredicts = dise_redirects = 0
-        for i in range(n):
-            meta = meta_col[i]
+        for i, meta, pc, target in steps:
             cc = (meta >> CTRL_SHIFT) & 0xF
-            if not cc:
-                continue
-            pc = pc_col[i]
             taken = bool(meta & META_TAKEN)
             act = ACT_NONE
             if cc == CC_DISE:
@@ -188,7 +191,7 @@ def replay_control(columns, predictor_config, predict_replacement,
                     # Unconditional/indirect replacement transfer: the BTB
                     # learns the codeword's PC:DISEPC.
                     if predict_target(
-                        pc ^ ((meta >> DISEPC_SHIFT) << 4), tgt_col[i]
+                        pc ^ ((meta >> DISEPC_SHIFT) << 4), target
                     ):
                         act = ACT_MISPREDICT
                     else:
@@ -206,7 +209,7 @@ def replay_control(columns, predictor_config, predict_replacement,
             elif cc in indirect:
                 if meta & META_TARGET:
                     if predict_target(
-                        pc, tgt_col[i],
+                        pc, target,
                         is_return=cc == CC_RET, is_call=cc == CC_CALL,
                         return_addr=pc + 4,
                     ):

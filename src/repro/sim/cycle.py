@@ -40,10 +40,12 @@ the ``engine=`` argument; same resolution order as ``REPRO_DISPATCH``):
   :func:`repro.core.tables.replay_rt`) that emit packed per-op outcome
   columns, each memoized on the trace keyed by *that component's*
   geometry — a Figure-7 RT sweep recomputes only the RT column, a
-  placement/width sweep recomputes nothing; **Phase B** is a specialized
-  timing kernel consuming only trace columns plus the outcome columns —
-  no method calls, no dict membership tests — chunked over event-free
-  spans, with NumPy column merges when available.  ``warm_start`` is
+  placement/width sweep recomputes nothing.  The hierarchy pass is NumPy
+  passes, one per cache level over the line stream that reaches it; the
+  predictor pass walks only the control ops.  **Phase B** is a
+  specialized timing kernel consuming only trace columns plus the
+  outcome columns — no method calls, no dict membership tests — chunked
+  over event-free spans, with NumPy column merges.  ``warm_start`` is
   subsumed by two-pass component replays (second-pass outcomes kept).
 
 Every :class:`CycleResult` field, retire-observer callback and telemetry
@@ -58,6 +60,8 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.config import (
     PLACEMENT_PIPE,
     PLACEMENT_STALL,
@@ -68,11 +72,6 @@ from repro.sim.branch import ACT_END_GROUP, BranchPredictor, replay_control
 from repro.sim.cache import Cache, PerfectCache, replay_hierarchy
 from repro.sim.config import MachineConfig
 from repro.telemetry import registry as _telemetry
-
-try:  # NumPy accelerates the outcome engine's column merges when present.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 from repro.sim.trace import (
     CC_CALL,
     CC_COND,
@@ -200,7 +199,7 @@ def resolve_cycle_engine(engine: Optional[str] = None) -> str:
 _OUTCOME_MEMO_LIMIT = 24
 
 #: Opcode-code -> latency lookup as a NumPy array (outcome engine merges).
-_LAT_NP = _np.array(_LAT_BY_CODE, dtype=_np.int64) if _np is not None else None
+_LAT_NP = np.array(_LAT_BY_CODE, dtype=np.int64)
 
 
 def _note_memo(component: str, hit: bool):
@@ -256,15 +255,13 @@ _SRC_NONE = NUM_REGS + 1
 class _StaticCols:
     """Config-independent per-op columns derived from the trace once."""
 
-    __slots__ = ("lat", "lat_list", "dest", "src1", "src2", "src3",
-                 "exp_list", "rt_events", "pt_miss_count")
+    __slots__ = ("lat", "dest", "src1", "src2", "src3", "exp_list",
+                 "rt_events", "pt_miss_count")
 
-    def __init__(self, lat, lat_list, dest, src1, src2, src3, exp_list,
-                 rt_events, pt_miss_count):
-        #: Base execute latency per op — NumPy int64 array when NumPy is
-        #: available (merge path), else the plain list.
+    def __init__(self, lat, dest, src1, src2, src3, exp_list, rt_events,
+                 pt_miss_count):
+        #: Base execute latency per op (NumPy int64 array, merge input).
         self.lat = lat
-        self.lat_list = lat_list
         #: Destination ready-slot index per op (_DEST_NONE when none).
         self.dest = dest
         #: Source ready-slot indices per op (_SRC_NONE when absent).
@@ -285,50 +282,24 @@ def _static_columns(trace, n_ops) -> _StaticCols:
     if cached is not None and cached[0] == n_ops:
         return cached[1]
     cols = trace.columns
-    meta_col = cols.meta
-    if _np is not None and n_ops:
-        meta_np = _np.frombuffer(meta_col, dtype=_np.uint64)
-        lat = _LAT_NP[(meta_np & 0xFF).astype(_np.intp)]
-        lat_list = lat.tolist()
-        dest_np = ((meta_np >> DEST_SHIFT) & 0xFF).astype(_np.int64)
-        dest = _np.where(dest_np == 0, _DEST_NONE, dest_np - 1).tolist()
-        srcs_np = _np.frombuffer(cols.srcs, dtype=_np.uint64)
-        src_cols = []
-        for shift in (0, 6, 12):
-            field = ((srcs_np >> shift) & 63).astype(_np.int64)
-            src_cols.append(
-                _np.where(field == 0, _SRC_NONE, field - 1).tolist()
-            )
-        src1, src2, src3 = src_cols
-    else:
-        lat_by_code = _LAT_BY_CODE
-        lat_list = [lat_by_code[meta & 0xFF] for meta in meta_col]
-        lat = lat_list
-        dest = [0] * len(meta_col)
-        for i, meta in enumerate(meta_col):
-            d = (meta >> DEST_SHIFT) & 0xFF
-            dest[i] = d - 1 if d else _DEST_NONE
-        src1 = [_SRC_NONE] * n_ops
-        src2 = [_SRC_NONE] * n_ops
-        src3 = [_SRC_NONE] * n_ops
-        for i, packed in enumerate(cols.srcs):
-            f = packed & 63
-            if f:
-                src1[i] = f - 1
-            f = (packed >> 6) & 63
-            if f:
-                src2[i] = f - 1
-            f = (packed >> 12) & 63
-            if f:
-                src3[i] = f - 1
+    meta_np = np.frombuffer(cols.meta, dtype=np.uint64)
+    lat = _LAT_NP[(meta_np & 0xFF).astype(np.intp)]
+    dest_np = ((meta_np >> DEST_SHIFT) & 0xFF).astype(np.int64)
+    dest = np.where(dest_np == 0, _DEST_NONE, dest_np - 1).tolist()
+    srcs_np = np.frombuffer(cols.srcs, dtype=np.uint64)
+    src_cols = []
+    for shift in (0, 6, 12):
+        field = ((srcs_np >> shift) & 63).astype(np.int64)
+        src_cols.append(np.where(field == 0, _SRC_NONE, field - 1).tolist())
+    src1, src2, src3 = src_cols
     exp_list = tuple(
         (i, event[0], event[1], event[2], event[4])
         for i, event in sorted(cols.exp.items())
     )
     rt_events = tuple((seq_id, length) for _, seq_id, length, _, _ in exp_list)
     pt_miss_count = sum(1 for item in exp_list if item[3])
-    static = _StaticCols(lat, lat_list, dest, src1, src2, src3, exp_list,
-                         rt_events, pt_miss_count)
+    static = _StaticCols(lat, dest, src1, src2, src3, exp_list, rt_events,
+                         pt_miss_count)
     trace._static_cols = (n_ops, static)
     return static
 
@@ -804,34 +775,17 @@ class CycleSimulator:
         )
 
         actions = ctrl.actions
-        if _np is not None and n_ops:
-            codes_np = _np.frombuffer(hier.codes, dtype=_np.uint8)
-            actions_np = _np.frombuffer(actions, dtype=_np.uint8)
-            pen_np = _np.array(pen, dtype=_np.int64)
-            fetch_codes = codes_np & 3
-            lat_list = (static.lat + pen_np[(codes_np >> 2) & 3]).tolist()
-            bubbles = _np.where(
-                fetch_codes != 0, (pen_np[fetch_codes] << 1) | 1, 0
-            ).tolist()
-            event_idx = _np.flatnonzero(
-                (fetch_codes != 0) | (actions_np != 0)
-            ).tolist()
-        else:
-            codes = hier.codes
-            base_lat = static.lat_list
-            lat_list = [0] * n_ops
-            bubbles = [0] * n_ops
-            event_idx = []
-            event_append = event_idx.append
-            for i in range(n_ops):
-                code = codes[i]
-                lat_list[i] = base_lat[i] + pen[(code >> 2) & 3]
-                fc = code & 3
-                if fc:
-                    bubbles[i] = (pen[fc] << 1) | 1
-                    event_append(i)
-                elif actions[i]:
-                    event_append(i)
+        codes_np = np.frombuffer(hier.codes, dtype=np.uint8)
+        actions_np = np.frombuffer(actions, dtype=np.uint8)
+        pen_np = np.array(pen, dtype=np.int64)
+        fetch_codes = codes_np & 3
+        lat_list = (static.lat + pen_np[(codes_np >> 2) & 3]).tolist()
+        bubbles = np.where(
+            fetch_codes != 0, (pen_np[fetch_codes] << 1) | 1, 0
+        ).tolist()
+        event_idx = np.flatnonzero(
+            (fetch_codes != 0) | (actions_np != 0)
+        ).tolist()
 
         # Expansion stalls fold into the bubble column.  ``fired`` (not
         # ``add``) decides the fetch-group reset: the reference engine
@@ -882,11 +836,10 @@ class CycleSimulator:
 
         **Phase B** merges the outcome columns into per-op ``bubbles``
         (front-end stall cycles, low bit = "reset the fetch group") and
-        effective latencies — NumPy-vectorised when available — then runs
-        a specialized timing kernel chunked over event-free spans: the
-        span body touches only plain lists and ints (no method calls, no
-        dict membership tests); bubble/action handling is confined to the
-        event indices.
+        effective latencies with NumPy, then runs a specialized timing
+        kernel chunked over event-free spans: the span body touches only
+        plain lists and ints (no method calls, no dict membership tests);
+        bubble/action handling is confined to the event indices.
         """
         config = self.config
         cols = trace.columns

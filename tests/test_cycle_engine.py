@@ -16,7 +16,14 @@ import pytest
 
 from repro.core.config import DiseConfig
 from repro.harness.trace_cache import deserialize_trace, serialize_trace
-from repro.sim.config import KB, MachineConfig, dl1_config, il1_config
+from repro.sim.cache import CacheConfig
+from repro.sim.config import (
+    KB,
+    MachineConfig,
+    dl1_config,
+    il1_config,
+    l2_config,
+)
 from repro.sim.cycle import (
     CycleSimulator,
     resolve_cycle_engine,
@@ -43,7 +50,10 @@ def traces():
 
 def config_grid():
     """The axes the figures and ablations sweep: placements, widths, RT
-    geometries, perfect/real caches, replacement-branch prediction."""
+    geometries, the Figure 6 I-cache ladder, perfect/real caches,
+    replacement-branch prediction — plus cache geometries the figures do
+    not sweep (direct-mapped and 4-way L1s, a 32-byte line, an L2 small
+    enough to evict), which reach every path of the per-level replay."""
     base = MachineConfig()
     grid = [("base", base)]
     for placement in ("free", "stall", "pipe"):
@@ -58,6 +68,24 @@ def config_grid():
     grid.append(("rt-perfect", MachineConfig(
         dise=DiseConfig(placement="pipe", rt_perfect=True))))
     grid.append(("il1-4k", base.with_il1_size(4 * KB)))
+    # Figure 6's I-cache ladder (32 KB is the base) over the real DL1/L2.
+    for size in (8, 128):
+        grid.append((f"il1-{size}k", base.with_il1_size(size * KB)))
+    grid.append(("il1-perfect", base.with_il1_size(None)))
+    for assoc in (1, 4):
+        grid.append((f"l1-{assoc}-way", base.with_changes(
+            il1=CacheConfig(32 * KB, assoc, name="il1"),
+            dl1=CacheConfig(32 * KB, assoc, name="dl1"))))
+    grid.append(("line-32", base.with_changes(
+        il1=CacheConfig(32 * KB, 2, line_bytes=32, name="il1"),
+        dl1=CacheConfig(32 * KB, 2, line_bytes=32, name="dl1"),
+        l2=CacheConfig(1024 * KB, 4, line_bytes=32, hit_latency=12,
+                       name="l2"))))
+    # A 16 KB 4-way L2 under 8 KB L1s: L2 evicts, so its outcomes depend
+    # on how IL1 and DL1 misses interleave.
+    grid.append(("l2-16k", base.with_changes(
+        il1=il1_config(8 * KB), dl1=dl1_config(8 * KB),
+        l2=l2_config(16 * KB))))
     grid.append(("perfect-caches", base.with_changes(
         il1=None, dl1=None, l2=None)))
     grid.append(("no-predict-replacement", base.with_changes(

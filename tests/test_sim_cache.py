@@ -1,10 +1,19 @@
 """Unit and property tests for the cache model."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.sim.cache import Cache, CacheConfig, PerfectCache
+from repro.sim.cache import (
+    FETCH_L2_HIT,
+    FETCH_L2_MISS,
+    MEM_SHIFT,
+    Cache,
+    CacheConfig,
+    PerfectCache,
+    replay_hierarchy,
+)
 from repro.sim.memory import Memory
+from repro.sim.trace import META_FETCH, META_MEM, META_STORE, OpColumns
 
 
 def make_cache(size=1024, assoc=2, line=64):
@@ -115,6 +124,93 @@ class TestCapacityMonotonicity:
         for addr in stream:
             high.access(addr)
         assert high.misses <= low.misses * 2  # LRU anomaly guard, loose bound
+
+
+def scalar_hierarchy(columns, il1_config, dl1_config, l2_config, passes):
+    """The per-access oracle for :func:`replay_hierarchy`: one live cache
+    per level, every op's fetch then its data access, ``passes`` times,
+    recording the last pass."""
+    il1, dl1, l2 = (Cache(c) if c is not None else PerfectCache()
+                    for c in (il1_config, dl1_config, l2_config))
+    codes = bytearray(len(columns.pc))
+    l2_misses = 0
+    for p in range(passes):
+        for cache in (il1, dl1, l2):
+            cache.accesses = cache.misses = 0
+        l2_misses = 0
+        for i, meta in enumerate(columns.meta):
+            code = 0
+            if meta & META_FETCH and not il1.access(columns.pc[i]):
+                code = FETCH_L2_HIT if l2.access(columns.pc[i]) \
+                    else FETCH_L2_MISS
+            if meta & META_MEM:
+                addr = columns.mem[i]
+                if meta & META_STORE:
+                    dl1.access(addr)
+                elif not dl1.access(addr):
+                    code |= (FETCH_L2_HIT if l2.access(addr)
+                             else FETCH_L2_MISS) << MEM_SHIFT
+            l2_misses += (code & 3 == FETCH_L2_MISS) + \
+                (code >> MEM_SHIFT == FETCH_L2_MISS)
+            codes[i] = code
+    return (bytes(codes), il1.accesses, il1.misses, dl1.accesses,
+            dl1.misses, l2_misses)
+
+
+#: Line-aligned bases, two of them at or above 2**63, so that random
+#: offsets revisit lines and sets often enough to hit and to evict.
+_BASES = (0, 1 << 20, 1 << 63, (1 << 64) - (1 << 12))
+
+addresses = st.one_of(
+    st.builds(lambda base, offset: base + offset,
+              st.sampled_from(_BASES), st.integers(0, (1 << 12) - 1)),
+    st.integers(0, (1 << 64) - 1),
+)
+
+#: (has fetch, data access: None / "load" / "store", pc, data address).
+ops = st.tuples(st.booleans(), st.sampled_from((None, "load", "store")),
+                addresses, addresses)
+
+
+@st.composite
+def geometries(draw):
+    """A cache level, or None for a perfect one; set counts include
+    non-powers of two, associativities include 3."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return None
+    line = draw(st.sampled_from((16, 32, 64)))
+    assoc = draw(st.sampled_from((1, 2, 3, 4, 8)))
+    sets = draw(st.sampled_from((1, 2, 3, 4, 16)))
+    return CacheConfig(size_bytes=line * assoc * sets, assoc=assoc,
+                       line_bytes=line)
+
+
+def op_columns(stream):
+    columns = OpColumns()
+    for has_fetch, data, pc, addr in stream:
+        columns.append(pc, 0, 0, 0, None, None if data is None else addr,
+                       data == "store", has_fetch, None, False, None, True,
+                       None)
+    return columns
+
+
+class TestReplayHierarchy:
+    """The outcome engine's per-level NumPy replay equals one live
+    :class:`Cache` per level called access by access."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ops, max_size=80), geometries(), geometries(),
+           geometries())
+    def test_matches_scalar_caches(self, stream, il1, dl1, l2):
+        columns = op_columns(stream)
+        for passes in (1, 2):
+            out = replay_hierarchy(columns, il1, dl1, l2, passes=passes)
+            counters = (out.il1_accesses, out.il1_misses, out.dl1_accesses,
+                        out.dl1_misses, out.l2_misses)
+            assert (out.codes, *counters) == \
+                scalar_hierarchy(columns, il1, dl1, l2, passes), passes
+            # Plain ints, not NumPy scalars: they land in CycleResult.
+            assert all(type(value) is int for value in counters)
 
 
 class TestMemory:

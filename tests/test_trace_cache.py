@@ -181,6 +181,18 @@ class TestKeys:
         ):
             assert image_fingerprint(changed) != image_fingerprint(image)
 
+    def test_image_fingerprint_depends_on_values_not_objects(self, image):
+        # Equal symbol names held in distinct string objects (and fresh
+        # big ints) serialize to the same bytes.
+        rebuilt = dataclasses.replace(
+            image,
+            symbols={"".join(list(name)): index
+                     for name, index in image.symbols.items()},
+            data_words={int(str(addr)): int(str(value))
+                        for addr, value in image.data_words.items()},
+        )
+        assert image_fingerprint(rebuilt) == image_fingerprint(image)
+
     def test_cycle_key_separates_configs(self):
         a = cycle_key("digest", repr(MachineConfig()), True)
         b = cycle_key("digest", repr(MachineConfig(width=8)), True)

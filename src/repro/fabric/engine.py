@@ -60,25 +60,6 @@ from repro.telemetry import tracing as _tracing
 logger = get_logger(__name__)
 
 
-def resolve_fabric_timeout(task_timeout: Optional[float] = None
-                           ) -> Optional[float]:
-    """Watchdog seconds: explicit > ``REPRO_FABRIC_TIMEOUT`` >
-    ``REPRO_TASK_TIMEOUT`` > off."""
-    if task_timeout is not None:
-        return task_timeout if task_timeout > 0 else None
-    env = _env_number("REPRO_FABRIC_TIMEOUT", float, 0.001)
-    return env if env is not None else resolve_task_timeout(None)
-
-
-def resolve_fabric_retries(retries: Optional[int] = None) -> int:
-    """Retry budget: explicit > ``REPRO_FABRIC_RETRIES`` >
-    ``REPRO_TASK_RETRIES`` > 1."""
-    if retries is not None:
-        return max(0, int(retries))
-    env = _env_number("REPRO_FABRIC_RETRIES", int, 0)
-    return env if env is not None else resolve_retries(None)
-
-
 def resolve_fabric_backoff(backoff: Optional[float] = None) -> float:
     """Backoff base seconds: explicit > ``REPRO_FABRIC_BACKOFF`` > 0.5."""
     if backoff is not None:
@@ -100,8 +81,8 @@ class Fabric:
 
     ``driver`` and ``fingerprint`` identify the run for checkpoint
     matching; every other knob resolves explicit argument > environment >
-    default (see the ``resolve_fabric_*`` helpers and
-    :func:`~repro.harness.parallel.resolve_jobs`).
+    default (see the ``resolve_*`` helpers here and in
+    :mod:`repro.fabric.supervise`, which the figure harness shares).
     """
 
     def __init__(self, driver: str, fingerprint: Dict[str, object], *,
@@ -123,8 +104,8 @@ class Fabric:
         self.checkpoint_path = checkpoint_path
         self.resume = resume
         self.jobs = resolve_jobs(jobs)
-        self.task_timeout = resolve_fabric_timeout(task_timeout)
-        self.retries = resolve_fabric_retries(retries)
+        self.task_timeout = resolve_task_timeout(task_timeout)
+        self.retries = resolve_retries(retries)
         self.backoff = resolve_fabric_backoff(backoff)
         self.checkpoint_every = max(1, int(checkpoint_every))
         self.chaos = chaos

@@ -9,16 +9,17 @@ function via ``exec`` — registers, memory words, PT/RT probes, trace
 records and observer hooks all inlined — and the compiled function is
 shared by every lane running the same production set, so the cohort
 amortises both translation and compilation while each lane keeps its own
-architectural state.
+architectural state.  What an instruction computes is its opcode's
+:data:`~repro.sim.functional.SEMANTICS` row, formatted with its register
+and literal operands: the rows the scalar tier's handlers are generated
+from.
 
 Scheduler state (per-lane flags and retirement counts) is kept as
 structure-of-arrays ``array('Q')`` columns mirroring ``sim/trace.py``;
 register files deliberately stay in the per-lane ``Machine`` objects:
 compiled superblocks mutate them in place, and masking a lane out to the
 scalar tiers (translated -> generic) must be a zero-copy handoff
-for the scalar simulator to remain the always-correct fallback.  NumPy,
-when available, accelerates the occupancy summaries only — it is never
-required and never touches architectural state.
+for the scalar simulator to remain the always-correct fallback.
 
 Divergence handling: a lane whose control flow leaves the compiled
 region, takes a fault, is mid-expansion, sits on a watchpoint site, or
@@ -47,15 +48,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-try:  # optional acceleration for occupancy summaries only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
-
 from repro.errors import ExecutionError, ExecutionTimeout
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import Format, Kind, Opcode
 from repro.sim.functional import (
     FAULT_BAD_JUMP,
+    ROW_GLOBALS,
+    SEMANTICS,
     ZERO,
     _B_CTRL,
     _B_DISE,
@@ -69,7 +67,6 @@ from repro.sim.functional import (
     _T_MEM,
     _T_SIMPLE,
     _T_TRIG,
-    _signed,
 )
 from repro.sim.memory import MASK64
 from repro.sim.trace import META_EXP, META_TAKEN, META_TARGET
@@ -124,28 +121,6 @@ def resolve_batch(batch: Optional[int] = None) -> int:
 # ----------------------------------------------------------------------
 # Superblock -> Python compilation
 # ----------------------------------------------------------------------
-#: Binary OPERATE opcodes lowered to a single masked expression.
-_BINOPS = {
-    Opcode.ADDQ: "+", Opcode.SUBQ: "-", Opcode.MULQ: "*",
-    Opcode.AND: "&", Opcode.BIS: "|", Opcode.XOR: "^",
-}
-
-_COND_TMPL = {
-    Opcode.BEQ: "t == 0", Opcode.BNE: "t != 0",
-    Opcode.BLT: "t >> 63", Opcode.BGE: "not t >> 63",
-    Opcode.BLE: "t == 0 or t >> 63",
-    Opcode.BGT: "t != 0 and not t >> 63",
-}
-#: Branch outcome when the test register is the zero register.
-_COND_ZERO = {
-    Opcode.BEQ: True, Opcode.BNE: False, Opcode.BLT: False,
-    Opcode.BGE: True, Opcode.BLE: True, Opcode.BGT: False,
-}
-
-_JUMPS = (Opcode.JMP, Opcode.JSR, Opcode.RET)
-_DIRECT = (Opcode.BR, Opcode.BSR)
-
-
 def _rv(reg: int) -> str:
     return "0" if reg == ZERO else f"r[{reg}]"
 
@@ -163,7 +138,7 @@ class _Codegen:
         self.record = record
         self.observed = observed
         self.lines: List[str] = []
-        self.ns: Dict[str, object] = {"M": MASK64, "sg": _signed}
+        self.ns: Dict[str, object] = dict(ROW_GLOBALS)
         self.retired = 0
         self.app = 0
         self.exps = 0
@@ -231,87 +206,41 @@ class _Codegen:
 
     # -- straight-line opcode semantics (app steps and body elements) --
     def emit_alu(self, depth: int, instr, need_addr: bool):
-        """Inline one SIMPLE/MEM opcode; returns (ok, mem_addr_expr)."""
+        """Inline one SIMPLE/MEM opcode from its :data:`SEMANTICS` row;
+        returns the memory address expression, or None."""
         opcode = instr.opcode
-        op = _BINOPS.get(opcode)
-        if op is not None:
-            if instr.rc != ZERO:
-                a, b = _rv(instr.ra), _bv(instr)
-                self.emit(f"r[{instr.rc}] = ({a} {op} {b}) & M", depth)
-            return True, None
-        if opcode is Opcode.SLL or opcode is Opcode.SRL \
-                or opcode is Opcode.SRA:
-            if instr.rc != ZERO:
-                a, b = _rv(instr.ra), _bv(instr)
-                if opcode is Opcode.SLL:
-                    self.emit(
-                        f"r[{instr.rc}] = ({a} << ({b} & 63)) & M", depth)
-                elif opcode is Opcode.SRL:
-                    self.emit(f"r[{instr.rc}] = {a} >> ({b} & 63)", depth)
-                else:
-                    self.emit(
-                        f"r[{instr.rc}] = (sg({a}) >> ({b} & 63)) & M", depth)
-            return True, None
-        if opcode is Opcode.CMPEQ or opcode is Opcode.CMPULT:
-            if instr.rc != ZERO:
-                rel = "==" if opcode is Opcode.CMPEQ else "<"
-                a, b = _rv(instr.ra), _bv(instr)
-                self.emit(
-                    f"r[{instr.rc}] = 1 if {a} {rel} {b} else 0", depth)
-            return True, None
-        if opcode is Opcode.CMPLT or opcode is Opcode.CMPLE:
-            if instr.rc != ZERO:
-                rel = "<" if opcode is Opcode.CMPLT else "<="
-                a, b = _rv(instr.ra), _bv(instr)
-                self.emit(
-                    f"r[{instr.rc}] = 1 if sg({a}) {rel} sg({b}) else 0",
-                    depth)
-            return True, None
-        if opcode is Opcode.CMOVEQ or opcode is Opcode.CMOVNE:
-            # The not-moved arm re-writes regs[rc] & M — a no-op, since
-            # the register file is always masked; elide it.
-            if instr.rc != ZERO:
-                rel = "==" if opcode is Opcode.CMOVEQ else "!="
-                a, b = _rv(instr.ra), _bv(instr)
-                self.emit(f"if {a} {rel} 0:", depth)
-                self.emit(f"r[{instr.rc}] = ({b}) & M", depth + 1)
-            return True, None
-        if opcode is Opcode.LDA or opcode is Opcode.LDAH:
-            if instr.ra != ZERO:
-                base = _rv(instr.rb)
-                imm = instr.imm if opcode is Opcode.LDA else instr.imm << 16
-                self.emit(f"r[{instr.ra}] = ({base} + {imm}) & M", depth)
-            return True, None
-        if opcode is Opcode.LDQ or opcode is Opcode.LDL:
-            self.need_mem = True
-            base = _rv(instr.rb)
-            if need_addr or instr.ra != ZERO:
-                self.emit(f"ad = ({base} + {instr.imm}) & M", depth)
-            if instr.ra != ZERO:
-                if opcode is Opcode.LDQ:
-                    self.emit(f"r[{instr.ra}] = mg(ad & -8, 0)", depth)
-                else:
-                    self.emit("w = mg(ad & -8, 0) & 0xFFFFFFFF", depth)
-                    self.emit("if w & 0x80000000:", depth)
-                    self.emit("w |= 0xFFFFFFFF00000000", depth + 1)
-                    self.emit(f"r[{instr.ra}] = w", depth)
-            return True, "ad"
-        if opcode is Opcode.STQ or opcode is Opcode.STL:
-            self.need_mem = True
-            base = _rv(instr.rb)
-            self.emit(f"ad = ({base} + {instr.imm}) & M", depth)
-            value = _rv(instr.ra)
-            if opcode is Opcode.STL:
-                value = f"({value}) & 0xFFFFFFFF"
-            self.emit(f"mw[ad & -8] = {value}", depth)
-            return True, "ad"
-        if opcode is Opcode.OUT:
+        kind = opcode.kind
+        row = SEMANTICS.get(opcode)
+        a, b = _rv(instr.ra), _bv(instr)
+        if kind is Kind.OUTPUT:
             self.need_out = True
-            self.emit(f"o.append({_rv(instr.ra)})", depth)
-            return True, None
-        if opcode is Opcode.NOP:
-            return True, None
-        return False, None
+            self.emit(f"o.append({a})", depth)
+            return None
+        if kind is Kind.PLAIN:
+            # nop has no row and writes nothing.
+            dest = ZERO if row is None else getattr(instr, opcode.writes)
+            if dest != ZERO:
+                value = row.format(a=a, b=b, i=repr(instr.imm))
+                if opcode.writes in opcode.reads:
+                    # A conditional move's row is when rc takes b.  The
+                    # not-moved arm re-writes regs[rc] & M — a no-op,
+                    # since the register file is always masked; elide it.
+                    self.emit(f"if {value}:", depth)
+                    self.emit(f"r[{dest}] = ({b}) & M", depth + 1)
+                else:
+                    self.emit(f"r[{dest}] = {value}", depth)
+            return None
+        self.need_mem = True
+        if kind is Kind.STORE:
+            self.emit(f"ad = ({b} + {instr.imm}) & M", depth)
+            self.emit(f"mw[ad & -8] = {row.format(a=a)}", depth)
+            return "ad"
+        if need_addr or instr.ra != ZERO:
+            self.emit(f"ad = ({b} + {instr.imm}) & M", depth)
+        if instr.ra != ZERO:
+            self.emit(f"r[{instr.ra}] = {row.format(w='mg(ad & -8, 0)')}",
+                      depth)
+        return "ad"
 
     def emit_halt(self, depth: int, instr):
         self.emit("m.halted = True", depth)
@@ -321,10 +250,12 @@ class _Codegen:
 
 
 def _cond(instr):
-    """Branch condition expr (after ``t = <test reg>``) or a constant."""
+    """Branch condition expr (after ``t = <test reg>``) or, when the test
+    register is the zero register, the constant outcome of its row."""
+    row = SEMANTICS[instr.opcode]
     if instr.ra == ZERO:
-        return _COND_ZERO[instr.opcode]
-    return _COND_TMPL[instr.opcode]
+        return bool(eval(row.format(t="0"), dict(ROW_GLOBALS)))
+    return row.format(t="t")
 
 
 def _resolve_direct(image, idx, instr, in_expansion: bool):
@@ -444,8 +375,7 @@ def compile_block(machine, block, record: bool, observed: bool):
 
 def _compile_step(g: _Codegen, st, image) -> bool:
     """Emit one app-level step; False -> truncate the block before it."""
-    kind, instr, pc, idx, handler, meta, srcs, probe, trig = st
-    opcode = instr.opcode
+    kind, instr, pc, idx, _, meta, srcs, probe, trig = st
     if probe is not None:
         # Unmatched trigger opcode: the PT is still probed per instance.
         g.need_pt = True
@@ -461,19 +391,9 @@ def _compile_step(g: _Codegen, st, image) -> bool:
         return _compile_trig(g, st, image)
 
     if kind == _T_SIMPLE or kind == _T_MEM:
-        ok, addr = g.emit_alu(0, instr, need_addr=(kind == _T_MEM
-                                                   and g.record))
-        if not ok:
-            # No inline lowering: fall back to the pre-bound handler.
-            # App-level handlers for SIMPLE/MEM opcodes read only the
-            # register file and memory, so the call is safe mid-block.
-            hn = g.const("H", handler)
-            in_ = g.const("I", instr)
-            g.emit(f"res = {hn}(m, {in_}, {pc}, {idx}, {idx}, True)")
-            addr = "res[3]"
+        addr = g.emit_alu(0, instr, need_addr=(kind == _T_MEM and g.record))
         g.retired += 1
-        g.emit_record(0, pc, meta, mem=(addr or "0") if kind == _T_MEM
-                      else "0", srcs=srcs)
+        g.emit_record(0, pc, meta, mem=addr or "0", srcs=srcs)
         in_ = g.const("I", instr) if g.observed else None
         g.emit_observe(0, in_, pc, 0, True)
         return True
@@ -524,7 +444,7 @@ def _compile_step(g: _Codegen, st, image) -> bool:
     if kind == _T_JUMP:
         reta = (image.addresses[idx] + image.sizes[idx]) & MASK64
         in_ = g.const("I", instr) if g.observed else None
-        if opcode in _DIRECT:
+        if instr.opcode.format is Format.BRANCH:
             resolved = _resolve_direct(image, idx, instr, in_expansion=False)
             if resolved is None:
                 return False
@@ -572,31 +492,19 @@ def _compile_step(g: _Codegen, st, image) -> bool:
 def _compile_trig(g: _Codegen, st, image) -> bool:
     """Emit one trigger step with its fully inlined replacement body.
 
-    Body elements must all be inlinable — replacement-body handlers may
-    read ``m._exp``/``m._disepc``, which compiled functions only
-    materialise at exit points, so there is no handler fallback here.
+    Every body element is inlined: replacement-body handlers may read
+    ``m._exp``/``m._disepc``, which compiled functions only materialise
+    at exit points, so a body with an element that cannot be inlined
+    stays on the scalar tiers.
     """
     _, tinstr, pc, idx, _, _, _, _, payload = st
     opcode, seq_id, spec_len, exp, body = payload[:5]
-    for belem in body:
-        bkind, binstr = belem[0], belem[1]
+    for bkind, binstr, _, _, _, is_copy in body:
         if bkind == _B_DISE:
             return False    # data-dependent DISEPC: scalar only
-        if bkind == _B_SIMPLE or bkind == _B_MEM:
-            if binstr.opcode not in _BINOPS and binstr.opcode not in (
-                    Opcode.SLL, Opcode.SRL, Opcode.SRA, Opcode.CMPEQ,
-                    Opcode.CMPULT, Opcode.CMPLT, Opcode.CMPLE,
-                    Opcode.CMOVEQ, Opcode.CMOVNE, Opcode.LDA, Opcode.LDAH,
-                    Opcode.LDQ, Opcode.LDL, Opcode.STQ, Opcode.STL,
-                    Opcode.OUT, Opcode.NOP):
-                return False
-        elif bkind == _B_CTRL:
-            if binstr.opcode in _JUMPS:
-                continue
-            is_copy = belem[5]
-            if _resolve_body_direct(image, idx, pc, binstr, is_copy) is None:
-                return False
-        elif bkind != _B_HALT:
+        if bkind == _B_CTRL and binstr.opcode.format is not Format.JUMP \
+                and _resolve_body_direct(image, idx, pc, binstr,
+                                         is_copy) is None:
             return False
 
     g.need_pt = True
@@ -650,10 +558,10 @@ def _compile_trig(g: _Codegen, st, image) -> bool:
         g.retired += 1
 
         if bkind == _B_SIMPLE or bkind == _B_MEM:
-            _, addr = g.emit_alu(0, binstr, need_addr=(bkind == _B_MEM
-                                                       and g.record))
-            g.emit_record(0, pc, xmeta, mem=(addr or "0") if bkind == _B_MEM
-                          else "0", srcs=bsrcs, event=ev)
+            addr = g.emit_alu(0, binstr,
+                              need_addr=(bkind == _B_MEM and g.record))
+            g.emit_record(0, pc, xmeta, mem=addr or "0", srcs=bsrcs,
+                          event=ev)
             g.emit_observe(0, bn, pc, j, is_copy)
             continue
 
@@ -667,7 +575,7 @@ def _compile_trig(g: _Codegen, st, image) -> bool:
         # _B_CTRL
         bop = binstr.opcode
         reta = (image.addresses[idx] + image.sizes[idx]) & MASK64
-        if bop in _JUMPS:
+        if bop.format is Format.JUMP:
             g.need_ioa = True
             g.emit(f"tv = {_rv(binstr.rb)}")
             if binstr.ra != ZERO:
@@ -690,7 +598,7 @@ def _compile_trig(g: _Codegen, st, image) -> bool:
             continue
 
         ti, tpc = _resolve_body_direct(image, idx, pc, binstr, is_copy)
-        if bop in _DIRECT:
+        if bop.kind is not Kind.COND:
             if binstr.ra != ZERO:
                 g.emit(f"r[{binstr.ra}] = {reta}")
             g.emit_record(0, pc, xmeta | META_TAKEN | META_TARGET,
@@ -1076,17 +984,11 @@ class BatchMachine:
                             | (2 if lane.mode == "batch" else 0))
 
     def occupancy(self) -> dict:
-        """Cohort summary from the SoA columns (NumPy when available)."""
-        if _np is not None:
-            flags = _np.frombuffer(self.col_flags, dtype=_np.uint64)
-            retired = _np.frombuffer(self.col_retired, dtype=_np.uint64)
-            done = int((flags & 1).sum())
-            total = int(retired.sum())
-        else:
-            done = sum(1 for f in self.col_flags if f & 1)
-            total = sum(self.col_retired)
-        return {"lanes": len(self.lanes), "done": done,
-                "retired": total, "rounds": self.stats["rounds"]}
+        """Cohort summary from the SoA columns."""
+        return {"lanes": len(self.lanes),
+                "done": sum(1 for f in self.col_flags if f & 1),
+                "retired": sum(self.col_retired),
+                "rounds": self.stats["rounds"]}
 
     def outcomes(self) -> List[LaneOutcome]:
         return [

@@ -35,6 +35,9 @@ class CacheConfig:
     def __post_init__(self):
         if self.size_bytes <= 0 or self.assoc <= 0 or self.line_bytes <= 0:
             raise ValueError("cache dimensions must be positive")
+        if self.line_bytes & (self.line_bytes - 1):
+            # Caches take the line offset as the low log2(line) bits.
+            raise ValueError("line size must be a power of two")
         lines = self.size_bytes // self.line_bytes
         if lines == 0 or self.size_bytes % self.line_bytes:
             raise ValueError("size must be a positive multiple of line size")

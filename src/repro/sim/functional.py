@@ -39,6 +39,16 @@ Two dispatch tiers implement the instruction semantics:
   reference implementation the property tests compare the translated
   tier against.
 
+Each value-computing opcode's semantics is written once, as an expression
+template in :data:`SEMANTICS` (an ``addq`` is ``({a} + {b}) & M``, a
+``blt`` ``{t} >> 63``).  The translated tier's handlers are generated at
+import from those rows and one handler template per control/memory kind,
+with one ``exec``, into :data:`_EXEC_TABLE`, a tuple indexed by
+``Opcode.code``; the batch tier (:mod:`repro.sim.batch`) formats the same
+rows with register and literal operands into its compiled superblocks.
+The generic if-chain is the one hand-written copy: the oracle both are
+tested against.
+
 The tier is chosen by the ``dispatch`` constructor argument, the
 ``REPRO_DISPATCH`` environment variable (one of :data:`DISPATCH_TIERS`),
 or the default ("translated").  Both tiers produce bit-identical traces
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 import os
 import weakref
+from string import Formatter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.controller import DiseController
@@ -112,415 +123,214 @@ def _signed(value):
 
 
 # ----------------------------------------------------------------------
-# Opcode handlers (the translated tier's pre-bound semantics)
+# Instruction semantics: one expression per opcode
 # ----------------------------------------------------------------------
-# Each handler executes one opcode's semantics against the machine and
-# returns ``(ctrl, taken, target_idx, mem_addr, is_store, target_pc)``.
-# Handlers for side-effect-only instructions share one constant result
-# tuple so the common case allocates nothing.
+#: What each value-computing opcode computes, as one Python expression
+#: template over its operands: ``{a}`` is ``ra``'s value and ``{b}``
+#: ``rb``'s (an operate instruction's literal when it has no ``rb``),
+#: ``{i}`` is the displacement, ``{w}`` the word a load reads and ``{t}``
+#: a branch's test value, ``ra``'s.  ``M`` is the 64-bit mask and ``sg``
+#: reads a word as signed (:data:`ROW_GLOBALS`).  An operate, ``lda`` or
+#: ``ldah`` row is the value written to the destination; a conditional
+#: move's, the condition for copying ``{b}`` to ``rc``; a load's, the
+#: value written to ``ra``; a store's, the word stored; a branch's,
+#: whether it is taken.
+#:
+#: The translated tier's handlers (:data:`_EXEC_TABLE`) and the batch
+#: tier's compiled superblocks (:mod:`repro.sim.batch`) are generated
+#: from these rows.  The generic tier's if-chain states the same
+#: semantics by hand and is the oracle both are tested against.  Sign
+#: tests read bit 63, so that branch rows call nothing.
+SEMANTICS: Dict[Opcode, str] = {
+    Opcode.ADDQ: "({a} + {b}) & M",
+    Opcode.SUBQ: "({a} - {b}) & M",
+    Opcode.MULQ: "({a} * {b}) & M",
+    Opcode.AND: "({a} & {b}) & M",
+    Opcode.BIS: "({a} | {b}) & M",
+    Opcode.XOR: "({a} ^ {b}) & M",
+    Opcode.SLL: "({a} << ({b} & 63)) & M",
+    Opcode.SRL: "{a} >> ({b} & 63)",
+    Opcode.SRA: "(sg({a}) >> ({b} & 63)) & M",
+    Opcode.CMPEQ: "1 if {a} == {b} else 0",
+    Opcode.CMPLT: "1 if sg({a}) < sg({b}) else 0",
+    Opcode.CMPLE: "1 if sg({a}) <= sg({b}) else 0",
+    Opcode.CMPULT: "1 if {a} < {b} else 0",
+    Opcode.CMOVEQ: "{a} == 0",
+    Opcode.CMOVNE: "{a} != 0",
+    Opcode.LDA: "({b} + {i}) & M",
+    Opcode.LDAH: "({b} + ({i} << 16)) & M",
+    Opcode.LDQ: "{w}",
+    Opcode.LDL: "((({w} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000) & M",
+    Opcode.STQ: "{a}",
+    Opcode.STL: "{a} & 0xFFFFFFFF",
+    Opcode.BEQ: "{t} == 0",
+    Opcode.BNE: "{t} != 0",
+    Opcode.BLT: "{t} >> 63",
+    Opcode.BLE: "{t} == 0 or {t} >> 63",
+    Opcode.BGT: "{t} != 0 and not {t} >> 63",
+    Opcode.BGE: "not {t} >> 63",
+    Opcode.DBR: "True",
+    Opcode.DBEQ: "{t} == 0",
+    Opcode.DBNE: "{t} != 0",
+}
+
+#: The globals a :data:`SEMANTICS` row may name.
+ROW_GLOBALS = {"M": MASK64, "sg": _signed}
 
 _SIMPLE = (None, False, None, None, False, None)
 
-
-def _x_addq(m, instr, pc, idx, trigger_idx, is_trigger):
+#: Handler templates, looked up by opcode, then by control/memory kind,
+#: then, for the transfers, by encoding: a direct branch resolves its
+#: displacement, a jump reads its target register before linking (as
+#: ``jsr ra, (ra)`` needs).  A handler takes ``(m, instr, pc, idx,
+#: trigger_idx, is_trigger)`` and returns ``(ctrl, taken, target_idx,
+#: mem_addr, is_store, target_pc)``; those without control or memory
+#: effects share ``_SIMPLE``, so the common case allocates nothing.
+#: Fields: ``{row}`` is the opcode's row over the operands ``{bind}``
+#: binds, ``{dest}`` the field it writes and ``{ctrl}`` its trace control
+#: kind.
+_HANDLERS = {
+    Opcode.NOP: """
+    return _SIMPLE""",
+    Opcode.FAULT: """
+    m.halted = True
+    m.fault_code = 0 if instr.imm is None else instr.imm
+    return _SIMPLE""",
+    Kind.PLAIN: """
     regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = (a + b) & MASK64
-    return _SIMPLE
-
-
-def _x_subq(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = (a - b) & MASK64
-    return _SIMPLE
-
-
-def _x_mulq(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = (a * b) & MASK64
-    return _SIMPLE
-
-
-def _x_and(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = (a & b) & MASK64
-    return _SIMPLE
-
-
-def _x_bis(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = (a | b) & MASK64
-    return _SIMPLE
-
-
-def _x_xor(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = (a ^ b) & MASK64
-    return _SIMPLE
-
-
-def _x_sll(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = (a << (b & 63)) & MASK64
-    return _SIMPLE
-
-
-def _x_srl(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = a >> (b & 63)
-    return _SIMPLE
-
-
-def _x_sra(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = (_signed(a) >> (b & 63)) & MASK64
-    return _SIMPLE
-
-
-def _x_cmpeq(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = 1 if a == b else 0
-    return _SIMPLE
-
-
-def _x_cmplt(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = 1 if _signed(a) < _signed(b) else 0
-    return _SIMPLE
-
-
-def _x_cmple(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = 1 if _signed(a) <= _signed(b) else 0
-    return _SIMPLE
-
-
-def _x_cmpult(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    if rc != ZERO:
-        regs[rc] = 1 if a < b else 0
-    return _SIMPLE
-
-
-def _x_cmoveq(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    value = b if a == 0 else (regs[rc] if rc != ZERO else 0)
-    if rc != ZERO:
-        regs[rc] = value & MASK64
-    return _SIMPLE
-
-
-def _x_cmovne(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    ra = instr.ra
-    a = 0 if ra == ZERO else regs[ra]
-    rb = instr.rb
-    b = instr.imm if rb is None else (0 if rb == ZERO else regs[rb])
-    rc = instr.rc
-    value = b if a != 0 else (regs[rc] if rc != ZERO else 0)
-    if rc != ZERO:
-        regs[rc] = value & MASK64
-    return _SIMPLE
-
-
-def _x_lda(m, instr, pc, idx, trigger_idx, is_trigger):
+    {bind}
+    rd = instr.{dest}
+    if rd != ZERO:
+        regs[rd] = {row}
+    return _SIMPLE""",
+    Kind.LOAD: """
     regs = m.regs
     rb = instr.rb
-    base = 0 if rb == ZERO else regs[rb]
+    ad = ((0 if rb == ZERO else regs[rb]) + instr.imm) & M
     ra = instr.ra
     if ra != ZERO:
-        regs[ra] = (base + instr.imm) & MASK64
-    return _SIMPLE
-
-
-def _x_ldah(m, instr, pc, idx, trigger_idx, is_trigger):
+        regs[ra] = {row}
+    return None, False, None, ad, False, None""",
+    Kind.STORE: """
     regs = m.regs
+    {bind}
     rb = instr.rb
-    base = 0 if rb == ZERO else regs[rb]
-    ra = instr.ra
-    if ra != ZERO:
-        regs[ra] = (base + (instr.imm << 16)) & MASK64
-    return _SIMPLE
-
-
-def _x_ldq(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    rb = instr.rb
-    base = 0 if rb == ZERO else regs[rb]
-    addr = (base + instr.imm) & MASK64
-    ra = instr.ra
-    if ra != ZERO:
-        regs[ra] = m.mem.read(addr)
-    return None, False, None, addr, False, None
-
-
-def _x_ldl(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    rb = instr.rb
-    base = 0 if rb == ZERO else regs[rb]
-    addr = (base + instr.imm) & MASK64
-    raw = m.mem.read(addr) & 0xFFFFFFFF
-    if raw & 0x80000000:
-        raw |= 0xFFFFFFFF00000000
-    ra = instr.ra
-    if ra != ZERO:
-        regs[ra] = raw
-    return None, False, None, addr, False, None
-
-
-def _x_stq(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    rb = instr.rb
-    base = 0 if rb == ZERO else regs[rb]
-    addr = (base + instr.imm) & MASK64
-    ra = instr.ra
-    m.mem.write(addr, 0 if ra == ZERO else regs[ra])
-    return None, False, None, addr, True, None
-
-
-def _x_stl(m, instr, pc, idx, trigger_idx, is_trigger):
-    regs = m.regs
-    rb = instr.rb
-    base = 0 if rb == ZERO else regs[rb]
-    addr = (base + instr.imm) & MASK64
-    ra = instr.ra
-    value = 0 if ra == ZERO else regs[ra]
-    m.mem.write(addr, value & 0xFFFFFFFF)
-    return None, False, None, addr, True, None
-
-
-def _x_out(m, instr, pc, idx, trigger_idx, is_trigger):
+    ad = ((0 if rb == ZERO else regs[rb]) + instr.imm) & M
+    m.mem.write(ad, {row})
+    return None, False, None, ad, True, None""",
+    Kind.OUTPUT: """
     ra = instr.ra
     m.outputs.append(0 if ra == ZERO else m.regs[ra])
-    return _SIMPLE
-
-
-def _x_ctrl(m, instr, pc, idx, trigger_idx, is_trigger):
+    return _SIMPLE""",
+    Kind.CONTROLLER: """
     handler = m.control_handlers.get(instr.imm)
     if handler is None:
         raise ExecutionError(
-            f"ctrl call {instr.imm} at {pc:#x} has no registered handler",
-            pc=pc, index=idx, opcode=instr.opcode,
-        )
+            f"ctrl call {{instr.imm}} at {{pc:#x}} has no registered handler",
+            pc=pc, index=idx, opcode=instr.opcode)
     handler(m)
-    return _SIMPLE
-
-
-def _x_fault(m, instr, pc, idx, trigger_idx, is_trigger):
+    return _SIMPLE""",
+    Kind.HALT: """
     m.halted = True
-    m.fault_code = instr.imm if instr.imm is not None else 0
-    return _SIMPLE
-
-
-def _x_dbr(m, instr, pc, idx, trigger_idx, is_trigger):
+    return _SIMPLE""",
+    Kind.DISE: """
     if m._exp is None:
         raise ExecutionError(
-            f"DISE branch outside a replacement sequence at {pc:#x}",
-            pc=pc, index=idx, opcode=instr.opcode,
-        )
-    return CTRL_DISE, True, instr.imm, None, False, None
-
-
-def _x_dbeq(m, instr, pc, idx, trigger_idx, is_trigger):
-    if m._exp is None:
-        raise ExecutionError(
-            f"DISE branch outside a replacement sequence at {pc:#x}",
-            pc=pc, index=idx, opcode=instr.opcode,
-        )
-    ra = instr.ra
-    test = 0 if ra == ZERO else m.regs[ra]
-    return CTRL_DISE, test == 0, instr.imm, None, False, None
-
-
-def _x_dbne(m, instr, pc, idx, trigger_idx, is_trigger):
-    if m._exp is None:
-        raise ExecutionError(
-            f"DISE branch outside a replacement sequence at {pc:#x}",
-            pc=pc, index=idx, opcode=instr.opcode,
-        )
-    ra = instr.ra
-    test = 0 if ra == ZERO else m.regs[ra]
-    return CTRL_DISE, test != 0, instr.imm, None, False, None
-
-
-def _make_cond_branch(predicate):
-    def handler(m, instr, pc, idx, trigger_idx, is_trigger):
-        ra = instr.ra
-        test = 0 if ra == ZERO else m.regs[ra]
-        if predicate(test):
-            target_idx, target_pc = m._branch_target(instr, pc, idx,
-                                                     is_trigger)
-            return CTRL_COND, True, target_idx, None, False, target_pc
-        return CTRL_COND, False, None, None, False, None
-    return handler
-
-
-_x_beq = _make_cond_branch(lambda test: test == 0)
-_x_bne = _make_cond_branch(lambda test: test != 0)
-_x_blt = _make_cond_branch(lambda test: _signed(test) < 0)
-_x_ble = _make_cond_branch(lambda test: _signed(test) <= 0)
-_x_bgt = _make_cond_branch(lambda test: _signed(test) > 0)
-_x_bge = _make_cond_branch(lambda test: _signed(test) >= 0)
-
-
-def _x_br(m, instr, pc, idx, trigger_idx, is_trigger):
-    image = m.image
-    return_addr = image.addresses[trigger_idx] + image.sizes[trigger_idx]
+            f"DISE branch outside a replacement sequence at {{pc:#x}}",
+            pc=pc, index=idx, opcode=instr.opcode)
+    regs = m.regs
+    {bind}
+    if {row}:
+        return {ctrl!r}, True, instr.imm, None, False, None
+    return {ctrl!r}, False, instr.imm, None, False, None""",
+    Kind.COND: """
+    regs = m.regs
+    {bind}
+    if {row}:
+        target_idx, target_pc = m._branch_target(instr, pc, idx, is_trigger)
+        return {ctrl!r}, True, target_idx, None, False, target_pc
+    return {ctrl!r}, False, None, None, False, None""",
+    Kind.CODEWORD: """
+    raise ExecutionError(f"codeword reached execution at {{pc:#x}}",
+                         pc=pc, index=idx, opcode=instr.opcode)""",
+    Format.BRANCH: """
     ra = instr.ra
     if ra != ZERO:
-        m.regs[ra] = return_addr & MASK64
-    target_idx, target_pc = m._branch_target(instr, pc, idx, is_trigger)
-    return CTRL_UNCOND, True, target_idx, None, False, target_pc
-
-
-def _x_bsr(m, instr, pc, idx, trigger_idx, is_trigger):
-    image = m.image
-    return_addr = image.addresses[trigger_idx] + image.sizes[trigger_idx]
-    ra = instr.ra
-    if ra != ZERO:
-        m.regs[ra] = return_addr & MASK64
-    target_idx, target_pc = m._branch_target(instr, pc, idx, is_trigger)
-    return CTRL_CALL, True, target_idx, None, False, target_pc
-
-
-def _make_jump(ctrl_kind):
-    def handler(m, instr, pc, idx, trigger_idx, is_trigger):
-        regs = m.regs
-        rb = instr.rb
-        target_value = 0 if rb == ZERO else regs[rb]
         image = m.image
-        return_addr = image.addresses[trigger_idx] + image.sizes[trigger_idx]
-        ra = instr.ra
-        if ra != ZERO:
-            regs[ra] = return_addr & MASK64
-        target_idx = image.index_of_addr.get(target_value)
-        if target_idx is None:
-            m.halted = True
-            m.fault_code = FAULT_BAD_JUMP
-        return ctrl_kind, True, target_idx, None, False, target_value
-    return handler
-
-
-_x_jmp = _make_jump(CTRL_INDIRECT)
-_x_jsr = _make_jump(CTRL_CALL)
-_x_ret = _make_jump(CTRL_RET)
-
-
-def _x_nop(m, instr, pc, idx, trigger_idx, is_trigger):
-    return _SIMPLE
-
-
-def _x_halt(m, instr, pc, idx, trigger_idx, is_trigger):
-    m.halted = True
-    return _SIMPLE
-
-
-def _x_codeword(m, instr, pc, idx, trigger_idx, is_trigger):
-    raise ExecutionError(f"codeword reached execution at {pc:#x}",
-                         pc=pc, index=idx, opcode=instr.opcode)
-
-
-#: Opcode -> handler.
-_EXEC_TABLE: Dict[Opcode, object] = {
-    Opcode.ADDQ: _x_addq, Opcode.SUBQ: _x_subq, Opcode.MULQ: _x_mulq,
-    Opcode.AND: _x_and, Opcode.BIS: _x_bis, Opcode.XOR: _x_xor,
-    Opcode.SLL: _x_sll, Opcode.SRL: _x_srl, Opcode.SRA: _x_sra,
-    Opcode.CMPEQ: _x_cmpeq, Opcode.CMPLT: _x_cmplt, Opcode.CMPLE: _x_cmple,
-    Opcode.CMPULT: _x_cmpult, Opcode.CMOVEQ: _x_cmoveq,
-    Opcode.CMOVNE: _x_cmovne,
-    Opcode.LDA: _x_lda, Opcode.LDAH: _x_ldah, Opcode.LDQ: _x_ldq,
-    Opcode.LDL: _x_ldl, Opcode.STQ: _x_stq, Opcode.STL: _x_stl,
-    Opcode.OUT: _x_out, Opcode.CTRL: _x_ctrl, Opcode.FAULT: _x_fault,
-    Opcode.DBR: _x_dbr, Opcode.DBEQ: _x_dbeq, Opcode.DBNE: _x_dbne,
-    Opcode.BEQ: _x_beq, Opcode.BNE: _x_bne, Opcode.BLT: _x_blt,
-    Opcode.BLE: _x_ble, Opcode.BGT: _x_bgt, Opcode.BGE: _x_bge,
-    Opcode.BR: _x_br, Opcode.BSR: _x_bsr,
-    Opcode.JMP: _x_jmp, Opcode.JSR: _x_jsr, Opcode.RET: _x_ret,
-    Opcode.NOP: _x_nop, Opcode.HALT: _x_halt,
-    Opcode.RES0: _x_codeword, Opcode.RES1: _x_codeword,
-    Opcode.RES2: _x_codeword, Opcode.RES3: _x_codeword,
+        m.regs[ra] = (image.addresses[trigger_idx]
+                      + image.sizes[trigger_idx]) & M
+    target_idx, target_pc = m._branch_target(instr, pc, idx, is_trigger)
+    return {ctrl!r}, True, target_idx, None, False, target_pc""",
+    Format.JUMP: """
+    regs = m.regs
+    rb = instr.rb
+    target_pc = 0 if rb == ZERO else regs[rb]
+    image = m.image
+    ra = instr.ra
+    if ra != ZERO:
+        regs[ra] = (image.addresses[trigger_idx]
+                    + image.sizes[trigger_idx]) & M
+    target_idx = image.index_of_addr.get(target_pc)
+    if target_idx is None:
+        m.halted = True
+        m.fault_code = FAULT_BAD_JUMP
+    return {ctrl!r}, True, target_idx, None, False, target_pc""",
 }
+
+#: How a handler binds each operand its row names; ``{i}`` and ``{w}``
+#: are read in place.
+_BIND = {
+    "a": "ra = instr.ra\n    a = 0 if ra == ZERO else regs[ra]",
+    "b": "rb = instr.rb\n    b = 0 if rb == ZERO else regs[rb]",
+    "t": "ra = instr.ra\n    t = 0 if ra == ZERO else regs[ra]",
+}
+#: An operate instruction without ``rb`` reads its literal as ``b``.
+_BIND_OPERATE_B = ("rb = instr.rb\n    b = instr.imm if rb is None "
+                   "else (0 if rb == ZERO else regs[rb])")
+_IN_PLACE = {"i": "instr.imm", "w": "m.mem.read(ad)"}
+
+#: Trace control kind of each branching kind.
+_CTRL_OF = {Kind.COND: CTRL_COND, Kind.UNCOND: CTRL_UNCOND,
+            Kind.CALL: CTRL_CALL, Kind.INDIRECT: CTRL_INDIRECT,
+            Kind.RETURN: CTRL_RET, Kind.DISE: CTRL_DISE}
+
+
+def _handler_source(op) -> str:
+    """The source of ``op``'s handler: its template, filled in."""
+    row = SEMANTICS.get(op, "")
+    if row and op.writes in op.reads:
+        # A conditional move rewrites its destination unless its row holds.
+        row = f"({{b}} if {row} else regs[rd]) & M"
+    bind = {name: _BIND[name] for _, name, _, _ in Formatter().parse(row)
+            if name in _BIND}
+    if "b" in bind and op.format is Format.OPERATE:
+        bind["b"] = _BIND_OPERATE_B
+    template = (_HANDLERS.get(op) or _HANDLERS.get(op.kind)
+                or _HANDLERS[op.format])
+    body = template.format(
+        row=row.format(**{name: name for name in _BIND}, **_IN_PLACE),
+        bind="\n    ".join(bind.values()), dest=op.writes,
+        ctrl=_CTRL_OF.get(op.kind))
+    return (f"def _x_{op.name.lower()}(m, instr, pc, idx, trigger_idx, "
+            f"is_trigger):{body}")
+
+
+def _compile_handlers() -> tuple:
+    """Every opcode's handler from one ``exec``, indexed by opcode code."""
+    namespace = dict(ROW_GLOBALS, ZERO=ZERO, _SIMPLE=_SIMPLE,
+                     ExecutionError=ExecutionError,
+                     FAULT_BAD_JUMP=FAULT_BAD_JUMP)
+    source = "\n\n".join(_handler_source(op) for op in Opcode)
+    exec(compile(source, "<opcode handlers>", "exec"), namespace)
+    table = [None] * (1 + max(op.code for op in Opcode))
+    for op in Opcode:
+        table[op.code] = namespace[f"_x_{op.name.lower()}"]
+    return tuple(table)
+
+
+#: ``Opcode.code`` -> handler.  A tuple: indexing by code skips the
+#: enum's Python-level ``__hash__`` that an ``Opcode``-keyed dict pays.
+_EXEC_TABLE = _compile_handlers()
 
 # ----------------------------------------------------------------------
 # Superblock translation (the pre-decoded dispatch tier)
@@ -843,7 +653,7 @@ class Machine:
         instr = self.image.instructions[idx]
         opcode = instr.opcode
         engine = self.engine
-        entry = (instr, opcode.is_reserved, _EXEC_TABLE[opcode],
+        entry = (instr, opcode.is_reserved, _EXEC_TABLE[opcode.code],
                  engine is not None and opcode in engine.trigger_opcodes)
         self._decode[idx] = entry
         return entry
@@ -953,7 +763,7 @@ class Machine:
         kind, taken, target_idx = self._execute(
             self, instr, pc, idx, fetch_addr=fetch_addr, disepc=disepc,
             trigger_idx=idx, is_trigger=is_trigger_copy,
-            expansion_event=event, handler=_EXEC_TABLE[instr.opcode],
+            expansion_event=event, handler=_EXEC_TABLE[instr.opcode.code],
         )
         if self.halted:
             return
@@ -1213,7 +1023,7 @@ class Machine:
             dest = binstr.dest_reg()
             if dest is not None:
                 meta |= (dest + 1) << DEST_SHIFT
-            body.append((bkind, binstr, _EXEC_TABLE[bop], meta,
+            body.append((bkind, binstr, _EXEC_TABLE[bop.code], meta,
                          pack_srcs(binstr.source_regs()), is_copy))
         return body
 

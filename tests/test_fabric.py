@@ -33,8 +33,6 @@ from repro.fabric.checkpoint import quarantine_checkpoint
 from repro.fabric.engine import (
     resolve_circuit_threshold,
     resolve_fabric_backoff,
-    resolve_fabric_retries,
-    resolve_fabric_timeout,
 )
 from repro.fabric.store import default_store_root, resolve_store
 from repro.fabric.task import canonical_params
@@ -416,25 +414,24 @@ class TestEnginePool:
 
 class TestEngineKnobs:
     def test_fabric_env_fallbacks(self, monkeypatch):
-        for var in ("REPRO_FABRIC_TIMEOUT", "REPRO_TASK_TIMEOUT",
-                    "REPRO_FABRIC_RETRIES", "REPRO_TASK_RETRIES",
+        for var in ("REPRO_TASK_TIMEOUT", "REPRO_TASK_RETRIES",
                     "REPRO_FABRIC_BACKOFF", "REPRO_FABRIC_CIRCUIT"):
             monkeypatch.delenv(var, raising=False)
-        assert resolve_fabric_timeout(None) is None
-        assert resolve_fabric_retries(None) == 1
+        fabric = Fabric("test", {"v": 1}, store=None)
+        assert fabric.task_timeout is None
+        assert fabric.retries == 1
         assert resolve_fabric_backoff(None) == 0.5
         assert resolve_circuit_threshold(None) == 3
 
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "9")
-        assert resolve_fabric_timeout(None) == 9.0
-        monkeypatch.setenv("REPRO_FABRIC_TIMEOUT", "4")
-        assert resolve_fabric_timeout(None) == 4.0
-        assert resolve_fabric_timeout(2.0) == 2.0
-
         monkeypatch.setenv("REPRO_TASK_RETRIES", "5")
-        assert resolve_fabric_retries(None) == 5
-        monkeypatch.setenv("REPRO_FABRIC_RETRIES", "2")
-        assert resolve_fabric_retries(None) == 2
+        fabric = Fabric("test", {"v": 1}, store=None)
+        assert fabric.task_timeout == 9.0
+        assert fabric.retries == 5
+        fabric = Fabric("test", {"v": 1}, store=None, task_timeout=2.0,
+                        retries=2)
+        assert fabric.task_timeout == 2.0
+        assert fabric.retries == 2
 
         monkeypatch.setenv("REPRO_FABRIC_BACKOFF", "0")
         assert resolve_fabric_backoff(None) == 0.0

@@ -42,11 +42,14 @@ from repro.isa.build import (
     subq,
     xor,
 )
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Opcode
+from repro.errors import ExecutionError
+from repro.isa.instruction import NOP, Instruction
+from repro.isa.opcodes import Format, Kind, Opcode
 from repro.isa.registers import NUM_REGS, ZERO_REG
 from repro.program.builder import ProgramBuilder
-from repro.sim.functional import Machine, run_program
+from repro.program.image import ProgramImage
+from repro.sim.batch import _cond
+from repro.sim.functional import _EXEC_TABLE, SEMANTICS, Machine, run_program
 from repro.sim.memory import MASK64
 from repro.verify.observe import PROJECTIONS, Observer, observation
 
@@ -411,3 +414,112 @@ class TestObservationEncoding:
                         instr, projection)
                 observer.observe(machine, instr, pc, disepc, is_trigger)
                 assert observer.count == (expected is not None)
+
+
+# ----------------------------------------------------------------------
+# One expression per opcode: generated handlers vs the generic oracle
+# ----------------------------------------------------------------------
+#: Register values at and around the 32- and 64-bit sign boundaries.
+_BOUNDARIES = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0x100000000,
+               2**62 - 1, 2**62, 2**63 - 1, 2**63, MASK64 - 1, MASK64)
+_word = st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, MASK64))
+#: Few enough registers that fields often alias; r31 among them.
+_reg = st.sampled_from((ZERO_REG, 0, 1, 2, 16, 30, 32, NUM_REGS - 1))
+#: Operate literals: the encodable 0..255 (shift counts past 63) and
+#: negative ones.
+_literal = st.one_of(st.integers(0, 255), st.integers(-2**15, -1))
+
+#: The instruction under test sits at index 1 (pc 0x1004); an app-level
+#: branch there targets index 3.
+_PC = 0x1004
+
+
+def _semantics_image():
+    return ProgramImage(
+        instructions=[NOP] * 5,
+        addresses=[0x1000 + 4 * k for k in range(5)], sizes=[4] * 5,
+        target_index=[None, 3, None, None, None], symbols={},
+        text_base=0x1000)
+
+
+@st.composite
+def _semantics_case(draw, opcode):
+    """An instruction of ``opcode``, a machine state and a context."""
+    ra = draw(_reg)
+    rb = rc = imm = None
+    if opcode.format is Format.OPERATE:
+        rb, rc = draw(st.one_of(st.none(), _reg)), draw(_reg)
+        if rb is None:
+            imm = draw(_literal)
+    elif opcode.format is Format.MEM:
+        rb, imm = draw(_reg), draw(st.integers(-2**15, 2**15 - 1))
+    else:
+        imm = draw(st.integers(-3, 4))   # some targets leave the text
+    instr = Instruction(opcode, ra=ra, rb=rb, rc=rc, imm=imm)
+    # Background values (r31's slot too: no tier may read it), then each
+    # named register's value drawn alone, so boundaries come up often.
+    fill = draw(_word)
+    regs = [(fill * (3 * k + 1)) & MASK64 for k in range(NUM_REGS)]
+    for field in sorted({ra, rb, rc} - {None}):
+        regs[field] = draw(_word)
+    memory = {}
+    if opcode.format is Format.MEM:
+        base = 0 if rb == ZERO_REG else regs[rb]
+        memory[((base + imm) & MASK64) & ~7] = draw(_word)
+    in_expansion = draw(st.booleans())
+    disepc = draw(st.integers(0, 3)) if in_expansion else 0
+    context = dict(
+        pc=_PC, idx=1, fetch_addr=_PC if disepc == 0 else None,
+        disepc=disepc, trigger_idx=1,
+        is_trigger=draw(st.booleans()) if in_expansion else True,
+        expansion_event=None)
+    return instr, regs, memory, in_expansion, context
+
+
+def _execute_once(execute, instr, regs, memory, in_expansion, context):
+    """Everything one dispatch returns, raises, writes and records."""
+    machine = Machine(_semantics_image(), dispatch="generic")
+    machine.regs = list(regs)
+    machine.mem.restore(memory)
+    if in_expansion:
+        machine._exp = object()
+    try:
+        returned = execute(machine, instr, **context)
+    except ExecutionError as exc:
+        returned = ("raised", str(exc))
+    cols = machine._cols
+    return (returned, machine.regs, machine.mem.snapshot(), machine.outputs,
+            machine.halted, machine.fault_code, list(cols.pc),
+            list(cols.meta), list(cols.mem), list(cols.target),
+            list(cols.srcs), cols.exp)
+
+
+class TestOpcodeSemantics:
+    """Each opcode's handler, generated from its ``SEMANTICS`` row, does
+    exactly what the hand-written generic if-chain does."""
+
+    @pytest.mark.parametrize("opcode", sorted(SEMANTICS, key=str),
+                             ids=lambda op: op.name)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_generated_handler_matches_generic(self, opcode, data):
+        case = data.draw(_semantics_case(opcode))
+        handler = _EXEC_TABLE[opcode.code]
+        table = _execute_once(
+            lambda m, instr, **ctx: Machine._execute_table(
+                m, instr, handler=handler, **ctx), *case)
+        generic = _execute_once(Machine._execute_generic, *case)
+        assert table == generic
+
+    @pytest.mark.parametrize(
+        "opcode", [op for op in Opcode if op.kind is Kind.COND],
+        ids=lambda op: op.name)
+    def test_batch_zero_register_branch_outcome(self, opcode):
+        """``_cond`` folds an r31 test to the outcome the generic tier
+        computes for it."""
+        instr = Instruction(opcode, ra=ZERO_REG, imm=1)
+        machine = Machine(_semantics_image(), dispatch="generic")
+        _, taken, _ = machine._execute_generic(
+            instr, _PC, 1, fetch_addr=_PC, disepc=0, trigger_idx=1,
+            is_trigger=True, expansion_event=None)
+        assert _cond(instr) is taken

@@ -31,6 +31,7 @@ class TestGeometry:
         dict(size_bytes=100, assoc=1, line_bytes=64),   # not a multiple
         dict(size_bytes=128, assoc=3, line_bytes=64),   # lines % assoc
         dict(size_bytes=64, assoc=1, line_bytes=0),
+        dict(size_bytes=192, assoc=1, line_bytes=48),   # not a power of 2
     ])
     def test_bad_geometry(self, kwargs):
         with pytest.raises(ValueError):

@@ -110,15 +110,15 @@ class DiseController:
         self.current_pid: Optional[int] = None
         #: Callbacks fired after every rebuild of the active production set
         #: (install/uninstall/activation/context switch).  The functional
-        #: simulator registers its translation-cache flush here, so stale
-        #: superblocks can never be executed after a production-set swap.
+        #: simulator registers its translation-table re-bind here, so stale
+        #: decoded sites can never be executed after a production-set swap.
         self._invalidation_listeners: List = []
 
     def add_invalidation_listener(self, callback):
         """Register ``callback()`` to run after every production-set change.
 
         Used by consumers that cache decisions derived from the active
-        productions (e.g. translated superblocks); the engine's
+        productions (e.g. decoded sites); the engine's
         ``generation`` counter covers the same changes, so the listener is
         a prompt-flush optimisation plus the documented hook for state the
         generation check cannot see.

@@ -81,7 +81,7 @@ class _EngineTelemetry:
         counter = self.match_counters.get(id(production))
         if counter is None:
             # Pre-translated trigger sites can carry the production object
-            # of another equal-signature installation (superblocks are
+            # of another equal-signature installation (decoded sites are
             # shared image-wide); resolve by the stable counter name.
             counter = _telemetry.counter(
                 "engine.production."
@@ -237,8 +237,8 @@ class DiseEngine:
     def preexpand(self, instr: Instruction, pc: int):
         """Match and instantiate a potential trigger *without* side effects.
 
-        Block-scope variant of :meth:`process` used by the functional
-        simulator's superblock translator: matching and instantiation are
+        Decode-time variant of :meth:`process` used by the functional
+        simulator's site translator: matching and instantiation are
         pure functions of ``(instr, pc, generation)``, so they can be
         hoisted to translation time, while the stateful PT/RT accesses (and
         the inspected/expansions counters) stay at run time.  Shares

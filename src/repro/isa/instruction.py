@@ -36,8 +36,8 @@ from repro.isa.registers import ZERO_REG, reg_name
 #: Number of bytes occupied by one uncompressed instruction.
 INSTRUCTION_BYTES = 4
 
-#: Every distinct operand-facts tuple an instruction has computed, so that
-#: equal facts are one object.
+#: ``(opcode code, ra, rb, rc)`` -> the operand facts of every instruction
+#: with that opcode and those register fields: one tuple, computed once.
 _SHARED_OPERANDS: dict = {}
 
 
@@ -46,8 +46,10 @@ class _Operands:
     from the opcode table's ``roles``, ``reads`` and ``writes`` columns.
 
     Computed on an instruction's first read and stored on it, where later
-    reads find it before this descriptor.  Equal tuples are shared, and
-    the store goes through ``object.__setattr__``, which keeps the
+    reads find it before this descriptor.  The facts depend only on the
+    opcode and the register fields, so instructions that agree on those
+    share one tuple, and the first read of each later one is a lookup.
+    The store goes through ``object.__setattr__``, which keeps the
     object's inline attribute storage (``functools.cached_property``
     allocates a ``__dict__`` per object instead), so the cache costs each
     instruction one reference.
@@ -57,14 +59,17 @@ class _Operands:
         if instr is None:
             return self
         op = instr.opcode
-        roles = op.roles
-        rs, rt, rd = (getattr(instr, roles[role]) if role in roles else None
-                      for role in REG_ROLES)
-        srcs = tuple(reg for reg in (getattr(instr, f) for f in op.reads)
-                     if reg is not None and reg != ZERO_REG)
-        dest = getattr(instr, op.writes) if op.writes else None
-        operands = (rs, rt, rd, srcs, None if dest == ZERO_REG else dest)
-        operands = _SHARED_OPERANDS.setdefault(operands, operands)
+        key = (op.code, instr.ra, instr.rb, instr.rc)
+        operands = _SHARED_OPERANDS.get(key)
+        if operands is None:
+            roles = op.roles
+            rs, rt, rd = (getattr(instr, roles[role]) if role in roles
+                          else None for role in REG_ROLES)
+            srcs = tuple(reg for reg in (getattr(instr, f) for f in op.reads)
+                         if reg is not None and reg != ZERO_REG)
+            dest = getattr(instr, op.writes) if op.writes else None
+            operands = _SHARED_OPERANDS[key] = (
+                rs, rt, rd, srcs, None if dest == ZERO_REG else dest)
         object.__setattr__(instr, "_operands", operands)
         return operands
 

@@ -55,8 +55,8 @@ class ProgramImage:
             raise ValueError("image field lengths disagree")
 
     def __getstate__(self):
-        # The simulators stash per-process memos on the image (compiled
-        # superblock translations, the address index); they rebuild on
+        # The simulators stash per-process memos on the image (decoded
+        # sites and compiled blocks, the address index); they rebuild on
         # demand, and compiled code cannot cross a process boundary.
         state = {name: value for name, value in self.__dict__.items()
                  if name not in _PROCESS_LOCAL}

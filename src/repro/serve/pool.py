@@ -1,8 +1,8 @@
 """The machine pool: bounded live machines, LRU eviction via checkpoints.
 
 A live :class:`~repro.sim.functional.Machine` holds the register file,
-sparse memory, decode caches, and (on the translated tier) superblock
-bindings — too much to keep resident for every open session when the
+sparse memory, decode caches, and (on the translated tier) translation
+table bindings — too much to keep resident for every open session when the
 server is holding thousands.  The pool caps live machines at
 ``REPRO_SERVE_POOL`` (default 8); leasing a machine for a session beyond
 the cap evicts the least-recently-used session by *parking* it

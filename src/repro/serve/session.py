@@ -19,7 +19,7 @@ Images are shared across sessions *and tenants* through
 :class:`ImageCatalog`, keyed by content: every session on the same
 benchmark/source shares one :class:`~repro.program.image.ProgramImage`,
 hence one ``image._translation_store`` — so the second tenant's machines
-bind warm to superblocks the first tenant's runs translated.
+bind warm to the sites the first tenant's runs decoded.
 """
 
 from __future__ import annotations
@@ -269,8 +269,9 @@ class Session:
 
         A fresh machine on the same image + an equivalent production set
         re-binds to the warm ``image._translation_store`` entry (see
-        :meth:`Machine.checkpoint`), so revived and forked sessions skip
-        interpretive warmup.
+        :meth:`Machine.checkpoint`), so revived and forked sessions decode
+        no site an earlier machine reached; the build is warm when that
+        entry already held decoded sites.
         """
         machine = self.installation.make_machine(
             record_trace=False, observer=self.observer,
@@ -280,7 +281,7 @@ class Session:
             machine.restore(self.parked)
             self.parked = None
         self.machine = machine
-        self.warm_start = bool(getattr(machine, "_warm", False))
+        self.warm_start = any(machine._sites)
         if self.warm_start:
             self.warm_builds += 1
         else:

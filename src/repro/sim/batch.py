@@ -1,15 +1,16 @@
-"""Batched lockstep cohort execution: N machines stepped per superblock.
+"""Batched lockstep cohort execution: N machines stepped per compiled block.
 
 A :class:`BatchMachine` holds a cohort of scalar
 :class:`~repro.sim.functional.Machine` lanes and advances them one
-*compiled superblock* at a time.  Each translated superblock (the step
-tuples from the image-wide ``_translation_store``, keyed by
-``production_signature``) is lowered once into a straight-line Python
-function via ``exec`` — registers, memory words, PT/RT probes, trace
-records and observer hooks all inlined — and the compiled function is
-shared by every lane running the same production set, so the cohort
-amortises both translation and compilation while each lane keeps its own
-architectural state.  What an instruction computes is its opcode's
+*compiled block* at a time.  A block is a run of consecutive sites from
+the image-wide per-site table (``_translation_store``, keyed by
+``production_signature``) that the translated tier runs too; it is
+lowered once into a straight-line Python function via ``exec`` —
+registers, memory words, PT/RT probes, trace records and observer hooks
+all inlined — and the compiled function is shared by every lane running
+the same production set, so the cohort amortises both translation and
+compilation while each lane keeps its own architectural state.  What an
+instruction computes is its opcode's
 :data:`~repro.sim.functional.SEMANTICS` row, formatted with its register
 and literal operands: the rows the scalar tier's handlers are generated
 from.
@@ -17,7 +18,7 @@ from.
 Scheduler state (per-lane flags and retirement counts) is kept as
 structure-of-arrays ``array('Q')`` columns mirroring ``sim/trace.py``;
 register files deliberately stay in the per-lane ``Machine`` objects:
-compiled superblocks mutate them in place, and masking a lane out to the
+compiled blocks mutate them in place, and masking a lane out to the
 scalar tiers (translated -> generic) must be a zero-copy handoff
 for the scalar simulator to remain the always-correct fallback.
 
@@ -60,7 +61,6 @@ from repro.sim.functional import (
     _B_HALT,
     _B_MEM,
     _B_SIMPLE,
-    _HOT_THRESHOLD,
     _T_BRANCH,
     _T_HALT,
     _T_JUMP,
@@ -82,6 +82,9 @@ _DRAIN_QUANTUM = 64
 
 #: Retirements per lane per batch round before the scheduler rotates.
 _CHAIN_QUANTUM = 512
+
+#: Maximum app-level sites per compiled block.
+_BLOCK_CAP = 64
 
 #: A block is lowered to Python only once this many lane-arrivals have
 #: requested it.  ``exec``-compiling a block costs ~1000x one scalar
@@ -119,8 +122,31 @@ def resolve_batch(batch: Optional[int] = None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Superblock -> Python compilation
+# Block -> Python compilation
 # ----------------------------------------------------------------------
+def _block_at(machine, idx: int) -> tuple:
+    """The block entered at ``idx``: ``(steps, exit_idx)``.
+
+    Walks ``machine``'s per-site table from ``idx``, decoding each site on
+    first touch as the translated tier does, and stops after a jump or a
+    halt, before an untranslatable site, or at :data:`_BLOCK_CAP` sites;
+    ``exit_idx`` is the index after the last step.
+    """
+    sites = machine._sites
+    steps = []
+    while len(steps) < _BLOCK_CAP:
+        st = sites[idx]
+        if st is None:
+            st = sites[idx] = machine._translate_step(idx)
+        if st is False:
+            break
+        steps.append(st)
+        idx += 1
+        if st[0] == _T_JUMP or st[0] == _T_HALT:
+            break
+    return tuple(steps), idx
+
+
 def _rv(reg: int) -> str:
     return "0" if reg == ZERO else f"r[{reg}]"
 
@@ -131,7 +157,7 @@ def _bv(instr) -> str:
 
 
 class _Codegen:
-    """Accumulates source lines + namespace for one superblock function."""
+    """Accumulates source lines + namespace for one block function."""
 
     def __init__(self, machine, record: bool, observed: bool):
         self.m = machine
@@ -174,7 +200,7 @@ class _Codegen:
     def emit_exit(self, depth: int):
         """Counter flush + return: every exit path retires a static count.
 
-        Mirrors ``_exec_block``'s ``finally`` flush; nothing inside a
+        Mirrors ``_exec_sites``'s ``finally`` flush; nothing inside a
         compiled function observes the counters, so folding them into
         per-exit epilogues is unobservable.
         """
@@ -289,14 +315,14 @@ def _resolve_body_direct(image, idx, pc, instr, is_copy: bool):
 
 
 def compile_block(machine, block, record: bool, observed: bool):
-    """Lower one translated superblock to a Python function, or None.
+    """Lower one block (:func:`_block_at`) to a Python function, or None.
 
     The function takes the machine and returns the retirement count; it
-    reproduces ``Machine._exec_block`` bit-for-bit (counter ordering,
-    trace records including the taken-DISE-branch target quirk, observer
-    calls, precise ``idx``/expansion state at every exit) except that it
-    contains no budget checks — callers must only enter it when the
-    remaining budget covers ``fn.max_retire``.  Attributes:
+    reproduces ``Machine._exec_sites`` over the block bit-for-bit (counter
+    ordering, trace records including the taken-DISE-branch target quirk,
+    observer calls, precise ``idx``/expansion state at every exit) except
+    that it contains no budget checks — callers must only enter it when
+    the remaining budget covers ``fn.max_retire``.  Attributes:
 
     ``fn.max_retire``
         worst-case retirements of one call (static).
@@ -736,7 +762,7 @@ class LaneOutcome:
 
 
 class BatchMachine:
-    """Steps a cohort of machines one compiled superblock at a time.
+    """Steps a cohort of machines one compiled block at a time.
 
     Per-lane scheduler state lives in parallel ``array('Q')`` columns
     (mirroring the trace pipeline's SoA layout); architectural state
@@ -789,28 +815,22 @@ class BatchMachine:
             return None, "cold"
         if m._opcode_counts is not None:
             # Telemetry wants the per-instruction opcode and per-expansion
-            # engine attribution that compiled superblocks don't record;
+            # engine attribution that compiled blocks don't record;
             # the scalar translated tier counts exactly.
             return None, "observer"
         if m._exp is not None:
             return None, "branch"
         engine = m.engine
-        if engine is not None and engine.generation != m._blocks_gen:
+        if engine is not None and engine.generation != m._sites_gen:
             m._attach_translations()
             lane.fns = _compiled_map(m)
         idx = m.idx
-        if not 0 <= idx < len(m._decode):
+        if not 0 <= idx < len(m.image.instructions):
             return None, "branch"   # scalar step raises the precise error
-        block = m._blocks.get(idx)
-        if block is None:
-            count = m._heat.get(idx, 0)
-            if count < _HOT_THRESHOLD and not m._warm:
-                return None, "cold"
-            block = m._translate(idx)
-            m._blocks[idx] = block
-        if not block[0]:
-            return None, "branch"
-        if lane.fns is None:
+        sites = m._sites
+        if sites[idx] is None:
+            sites[idx] = m._translate_step(idx)
+        if sites[idx] is False or lane.fns is None:
             return None, "branch"
         fns, fheat = lane.fns
         fn = fns.get(idx, _UNSET)
@@ -820,7 +840,7 @@ class BatchMachine:
                 fheat[idx] = count
                 return None, "cold"
             fheat.pop(idx, None)
-            fn = compile_block(m, block, m.record_trace,
+            fn = compile_block(m, _block_at(m, idx), m.record_trace,
                                m._observer is not None)
             fns[idx] = fn
             if fn is not None:
@@ -879,36 +899,28 @@ class BatchMachine:
         """Bounded scalar stepping for a masked-out lane.
 
         Replicates the scalar drivers exactly: completion checks before
-        the watchpoint check, the watchpoint check immediately before
-        the step (once per retirement), and the translated tier's
-        warmup-heat bump so cold entries become compilable the same way
-        they become translatable serially.
+        the watchpoint check, and the watchpoint check immediately before
+        the step (once per retirement).
         """
         m = lane.machine
         watch = lane.watch
         engine = m.engine
-        fns = lane.fns[0] if lane.fns is not None else None
+        fns, fheat = lane.fns if lane.fns is not None else (None, None)
         for _ in range(quantum):
             if self._finished(lane):
                 return
             if m._exp is None and fns is not None and m._translated \
                     and (engine is None
-                         or engine.generation == m._blocks_gen):
+                         or engine.generation == m._sites_gen):
                 # Cheap re-admission probe: an already-compiled entry the
-                # lane can afford.  Translation/compilation of *new*
-                # entries happens at round granularity (_try_fn), not
-                # per scalar step — here we only tally arrival heat.
+                # lane can afford.  Compilation of *new* entries happens
+                # at round granularity (_try_fn), not per scalar step —
+                # here we only tally arrivals at requested entries.
                 fn = fns.get(m.idx, _UNSET)
                 if fn is _UNSET:
-                    block = m._blocks.get(m.idx)
-                    if block is None:
-                        if 0 <= m.idx < len(m._decode):
-                            count = m._heat.get(m.idx, 0)
-                            if count < _HOT_THRESHOLD and not m._warm:
-                                m._heat[m.idx] = count + 1
-                    elif block[0]:
-                        fheat = lane.fns[1]
-                        fheat[m.idx] = fheat.get(m.idx, 0) + 1
+                    count = fheat.get(m.idx)
+                    if count is not None:
+                        fheat[m.idx] = count + 1
                 elif fn is not None \
                         and fn.max_retire <= lane.max_steps - lane.done() \
                         and (lane.stop_at is None

@@ -22,19 +22,24 @@ simulator replays under different machine configurations.
 
 Two dispatch tiers implement the instruction semantics:
 
-* the **translated tier** (default) — a superblock translation cache: each
-  basic-block region (single entry, conditional branches may fall through,
-  ends at unconditional transfers / CTRL calls / a length cap) is
-  pre-decoded once into a linear list of pre-bound handler thunks, with
-  DISE replacement bodies instantiated and inlined at translation time.
+* the **translated tier** (default) — a per-site translation table: each
+  static site (instruction index) is decoded once, the first time any
+  machine sharing the table executes it, into a pre-bound step (handler,
+  trace meta bits, packed sources), a trigger's DISE replacement body
+  instantiated and pre-bound with it; one run loop then executes
+  straight from the table, following taken branches, jumps and bodies.
   Matching and instantiation are hoisted out of the run loop entirely;
-  only the stateful PT/RT accesses stay per-dynamic-trigger.  Blocks are
-  keyed by entry index and the engine's production-set ``generation``
-  (and flushed via the controller's invalidation hook), mirroring the
-  paper's RT, which stores replacement sequences pre-decoded so expansion
-  costs nothing at fetch (Section 2.2).  Code outside a superblock —
-  first visits, ctrl calls, in-flight expansions after a restore — runs
-  one instruction at a time through the same opcode-indexed handlers;
+  only the stateful PT/RT accesses stay per-dynamic-trigger.  The table
+  lives on the image, keyed by the engine's ``production_signature`` (and
+  re-bound via the controller's invalidation hook), mirroring the paper's
+  RT, which stores replacement sequences pre-decoded so expansion costs
+  nothing at fetch (Section 2.2).  Decoding is cheap enough to pay on
+  first touch — the step kind and meta bits are one lookup by opcode
+  code, the operand bits one lookup by the instruction's shared operand
+  facts — so there is no warm-up gate and no interpretive first visit:
+  only ctrl calls, codewords, expansion errors, unsupported bodies, an
+  index outside the image and in-flight expansions after a restore take
+  an interpretive step, through the same opcode-indexed handlers;
 * the **generic tier** — the format/opcode if-chain, kept as the
   reference implementation the property tests compare the translated
   tier against.
@@ -45,7 +50,7 @@ template in :data:`SEMANTICS` (an ``addq`` is ``({a} + {b}) & M``, a
 import from those rows and one handler template per control/memory kind,
 with one ``exec``, into :data:`_EXEC_TABLE`, a tuple indexed by
 ``Opcode.code``; the batch tier (:mod:`repro.sim.batch`) formats the same
-rows with register and literal operands into its compiled superblocks.
+rows with register and literal operands into its compiled blocks.
 The generic if-chain is the one hand-written copy: the oracle both are
 tested against.
 
@@ -63,7 +68,7 @@ from __future__ import annotations
 import os
 import weakref
 from string import Formatter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.controller import DiseController
 from repro.core.engine import ExpansionError
@@ -96,7 +101,6 @@ from repro.sim.trace import (
     META_TAKEN,
     META_TARGET,
     META_TRIGGER,
-    Op,
     OpColumns,
     TraceResult,
     pack_srcs,
@@ -137,7 +141,7 @@ def _signed(value):
 #: whether it is taken.
 #:
 #: The translated tier's handlers (:data:`_EXEC_TABLE`) and the batch
-#: tier's compiled superblocks (:mod:`repro.sim.batch`) are generated
+#: tier's compiled blocks (:mod:`repro.sim.batch`) are generated
 #: from these rows.  The generic tier's if-chain states the same
 #: semantics by hand and is the oracle both are tested against.  Sign
 #: tests read bit 63, so that branch rows call nothing.
@@ -333,16 +337,16 @@ def _compile_handlers() -> tuple:
 _EXEC_TABLE = _compile_handlers()
 
 # ----------------------------------------------------------------------
-# Superblock translation (the pre-decoded dispatch tier)
+# Per-site translation (the pre-decoded dispatch tier)
 # ----------------------------------------------------------------------
 # Step kinds for translated app-level instructions.  Each kind fixes which
-# parts of the handler's result tuple the block runner must look at, so the
+# parts of the handler's result tuple the site runner must look at, so the
 # common cases skip all conditional record logic.
 _T_SIMPLE = 0   # no control, no memory: result tuple ignored
 _T_MEM = 1      # loads/stores: mem_addr from the handler result
-_T_BRANCH = 2   # conditional branches: may exit the block when taken
-_T_JUMP = 3     # always-taken transfers (br/bsr/jmp/jsr/ret): block-terminal
-_T_HALT = 4     # halt/fault: block-terminal
+_T_BRANCH = 2   # conditional branches: continue at the target when taken
+_T_JUMP = 3     # always-taken transfers (br/bsr/jmp/jsr/ret)
+_T_HALT = 4     # halt/fault: stops the run
 _T_TRIG = 5     # DISE trigger with a pre-instantiated replacement body
 
 # Body kinds for pre-bound replacement instructions.
@@ -387,17 +391,36 @@ _BODY_STEPS = {
 }
 
 
-#: Maximum app-level instructions per superblock.
-_BLOCK_CAP = 64
+def _by_code(steps: dict, bits: int) -> tuple:
+    """``Opcode.code`` -> (step kind, meta bits) from a kind-keyed table;
+    ``bits`` are or-ed into every row's meta with the opcode code."""
+    table = [None] * (1 + max(op.code for op in Opcode))
+    for op in Opcode:
+        step = steps.get(op.kind)
+        if step is not None:
+            table[op.code] = (step[0], op.code | step[1] | bits)
+    return tuple(table)
 
-#: Entry visits before a superblock is translated (warmup gate): code
-#: executed once — cold tails, straight-line init — runs interpretively
-#: and never pays translation; any revisited entry is hot by definition.
-_HOT_THRESHOLD = 1
 
-#: Cached marker for "this entry point cannot be translated" — the run loop
-#: falls back to one interpretive step.
-_NO_BLOCK = ((), 0)
+#: :data:`_APP_STEPS` and :data:`_BODY_STEPS` indexed by opcode code, with
+#: all of a site's meta bits except its operand bits.
+_APP_STEP = _by_code(_APP_STEPS, META_FETCH | META_TRIGGER)
+_BODY_STEP = _by_code(_BODY_STEPS, 0)
+
+#: ``Instruction._operands`` -> (destination meta bits, packed sources):
+#: a memo with one entry per distinct operand-facts tuple.
+_OPERAND_BITS: Dict[tuple, tuple] = {}
+
+
+def _operand_bits(instr) -> tuple:
+    operands = instr._operands
+    bits = _OPERAND_BITS.get(operands)
+    if bits is None:
+        dest = operands[4]
+        bits = _OPERAND_BITS[operands] = (
+            0 if dest is None else (dest + 1) << DEST_SHIFT,
+            pack_srcs(operands[3]))
+    return bits
 
 
 def _make_flush_callback(machine_ref):
@@ -429,11 +452,11 @@ class Machine:
                 f"{', '.join(DISPATCH_TIERS)}"
             )
         self.dispatch = dispatch
-        # The translated tier keeps running under telemetry: superblock
-        # dispatches bypass the counting wrapper, so _exec_block counts
-        # opcodes itself — app steps batched at block boundaries, body
-        # instructions inline — and only the interpretive fallback steps
-        # go through the wrapper.
+        # The translated tier keeps running under telemetry: translated
+        # sites bypass the counting wrapper, so _exec_sites counts opcodes
+        # itself — app steps per straight-line run, body instructions
+        # inline — and only the interpretive fallback steps go through
+        # the wrapper.
         self._translated = dispatch == "translated"
         # The dispatch function takes the machine as its first argument:
         # a bound method stored here would make every machine a reference
@@ -489,22 +512,18 @@ class Machine:
         self._pending: Optional[int] = None   # deferred trigger-branch target
         self._exp_event = None                # attached to first expansion op
 
-        # Superblock translation cache: entry index -> (steps, exit_idx), or
-        # _NO_BLOCK for untranslatable entries.  Alongside it, the
-        # translation memos: per-index step tuples (False = untranslatable
-        # site), so overlapping superblocks pay the per-instruction cost
-        # once; per-(seq_id, trigger_pc) pre-bound replacement bodies; and
-        # entry-visit counts for the warmup gate.  All four are normally
-        # views into the image-wide store (_attach_translations), shared
-        # by every machine running the same productions, and are re-bound
-        # through the controller's invalidation listener and the engine's
-        # generation counter whenever the active set changes.
-        self._blocks: Dict[int, tuple] = {}
-        self._steps: Dict[int, tuple] = {}
+        # Per-site translation table: one decoded step tuple per
+        # instruction index, None until a run first reaches the site, False
+        # where it cannot be translated (and at the end sentinel, one past
+        # the last index); alongside it, the per-(seq_id, trigger_pc)
+        # pre-bound replacement bodies.  Both are the image-wide store's
+        # entry for the active productions (_attach_translations), shared
+        # by every machine running them, and are re-bound through the
+        # controller's invalidation listener and the engine's generation
+        # counter whenever the active set changes.
+        self._sites: List = []
         self._bodies: Dict[tuple, list] = {}
-        self._heat: Dict[int, int] = {}
-        self._warm = False
-        self._blocks_gen = self._decode_gen
+        self._sites_gen = self._decode_gen
         if self._translated:
             self._attach_translations()
             if controller is not None:
@@ -558,10 +577,9 @@ class Machine:
     def _install_profiler(self):
         """Attach retirement-attribution state for this machine's tier.
 
-        On the translated tier the hooks live inline in
-        :meth:`_exec_block` (one dict bump per superblock execution, so
-        the warm-path overhead stays block-granular).  On the
-        interpretive tiers — where no superblocks exist — dispatch is
+        On the translated tier the hooks live in :meth:`_exec_sites`,
+        which attributes each straight-line run of sites (one dict bump
+        per run) to the run's entry PC.  On the generic tier dispatch is
         wrapped and retirements are attributed to *dynamic basic-block
         leaders*: any PC reached non-sequentially starts a new leader.
         """
@@ -795,51 +813,41 @@ class Machine:
         self.idx = next_idx
 
     # ------------------------------------------------------------------
-    # Superblock translation cache (translated dispatch tier)
+    # Per-site translation table (translated dispatch tier)
     # ------------------------------------------------------------------
     def _attach_translations(self):
-        """Bind this machine's translation memos to the image-wide store.
+        """Bind this machine's per-site table to the image-wide store.
 
-        Translated superblocks depend only on the image text and the
-        active production set, so they live on the image, keyed by the
-        engine's cross-machine :attr:`production_signature` — every
-        machine running the same installation shares one memo set and
-        fresh machines start warm.  Re-invoked (via the controller's
+        Decoded sites depend only on the image text and the active
+        production set, so they live on the image, keyed by the engine's
+        cross-machine :attr:`production_signature`: every machine running
+        the same installation shares one table, and a site any of them
+        has reached is decoded for all.  Re-invoked (via the controller's
         invalidation listener and the generation check in the run loop)
-        whenever the active set changes: the machine re-binds to the
-        entry for the new signature, leaving other keyings warm.  Images
-        that refuse attribute stashing fall back to private memos.
+        whenever the active set changes: the machine re-binds to the entry
+        for the new signature, leaving other keyings warm.  Images that
+        refuse attribute stashing get a private table.
         """
         engine = self.engine
         image = self.image
-        if engine is not None and engine.generation != self._decode_gen:
-            self._decode = [None] * len(image.instructions)
-            self._decode_gen = engine.generation
         store = getattr(image, "_translation_store", None)
         if store is None:
+            store = {}
             try:
-                store = image._translation_store = {}
+                image._translation_store = store
             except AttributeError:
-                self._blocks, self._steps = {}, {}
-                self._bodies, self._heat = {}, {}
-                self._warm = False
-                if engine is not None:
-                    self._blocks_gen = engine.generation
-                return
+                pass
         key = engine.production_signature if engine is not None else None
         entry = store.get(key)
         if entry is None:
-            entry = store[key] = ({}, {}, {}, {})
-        self._blocks, self._steps, self._bodies, self._heat = entry
-        # Warm-store pre-seed: a sibling machine already paid the
-        # interpretive warmup for this keying, so later lanes skip the
-        # revisit gate entirely and translate on first touch.
-        self._warm = bool(entry[0] or entry[1])
+            entry = store[key] = (
+                [None] * len(image.instructions) + [False], {})
+        self._sites, self._bodies = entry
         if engine is not None:
-            self._blocks_gen = engine.generation
+            self._sites_gen = engine.generation
 
     def invalidate_translations(self):
-        """Flush every translated superblock and decoded instruction.
+        """Drop every decoded site and decoded instruction.
 
         Call after rewriting the text segment in place (e.g. a
         decompression ACF patching codewords): the *whole* image-wide
@@ -863,50 +871,28 @@ class Machine:
     def _run_translated(self, max_steps) -> TraceResult:
         """Main loop of the translated tier.
 
-        Executes whole superblocks when one is available for the current
-        index and falls back to single interpretive steps everywhere else
-        (untranslatable sites, in-flight expansions after a restore).  The
-        step budget is shared with the interpretive loop so
-        :class:`ExecutionTimeout` fires after exactly the same number of
-        dynamic instructions.
+        Runs translated sites (:meth:`_exec_sites`) and takes a single
+        interpretive step only where they stop short of a halt or the
+        budget: at an untranslatable site, at an index outside the image,
+        and for an in-flight expansion after a restore.  The step budget
+        is shared with the interpretive loop, so :class:`ExecutionTimeout`
+        fires after exactly the same number of dynamic instructions.
         """
         steps_left = max_steps
-        image_len = len(self.image.instructions)
+        n = len(self.image.instructions)
         while not self.halted and steps_left > 0:
-            if self._exp is not None:
-                self.step()
-                steps_left -= 1
-                continue
-            engine = self.engine
-            if engine is not None and engine.generation != self._blocks_gen:
-                # Production set changed (ctrl call or direct controller
-                # use): re-bind to the store entry for the new active set.
-                # Flushes _decode too if the interpretive fallback has not
-                # already done so under its own generation marker.
-                self._attach_translations()
-            idx = self.idx
-            block = self._blocks.get(idx)
-            if block is None:
-                if 0 <= idx < image_len:
-                    # Warmup gate: translation only pays off on re-executed
-                    # code, so cold entries run interpretively and a block
-                    # is built the first time its entry is *revisited*.
-                    count = self._heat.get(idx, 0)
-                    if count < _HOT_THRESHOLD and not self._warm:
-                        self._heat[idx] = count + 1
-                        self.step()
-                        steps_left -= 1
-                        continue
-                    block = self._translate(idx)
-                else:
-                    block = _NO_BLOCK   # step() raises the precise error
-                self._blocks[idx] = block
-            steps, _ = block
-            if not steps:
-                self.step()
-                steps_left -= 1
-                continue
-            steps_left -= self._exec_block(block, steps_left)
+            if self._exp is None and 0 <= self.idx < n:
+                engine = self.engine
+                if engine is not None and \
+                        engine.generation != self._sites_gen:
+                    # Production set changed (ctrl call or direct engine
+                    # use): re-bind to the store entry for the new set.
+                    self._attach_translations()
+                steps_left -= self._exec_sites(steps_left)
+                if self.halted or steps_left <= 0:
+                    break
+            self.step()
+            steps_left -= 1
         if not self.halted and steps_left <= 0:
             raise ExecutionTimeout(
                 f"program did not halt within {max_steps} dynamic "
@@ -915,52 +901,26 @@ class Machine:
             )
         return self.result()
 
-    def _translate(self, entry_idx: int) -> tuple:
-        """Pre-decode one superblock starting at ``entry_idx``.
-
-        Returns ``(steps, exit_idx)`` — ``steps`` is a tuple of pre-bound
-        step tuples ``(kind, instr, pc, idx, handler, meta, packed_srcs,
-        probe, trig)``; ``exit_idx`` is the fall-through index when the
-        runner walks off the end of the list.  Sites whose semantics cannot
-        be hoisted (ctrl calls, stray codewords, expansion errors,
-        unsupported bodies) end the block; an empty block (``_NO_BLOCK``)
-        sends the entry back to the interpretive loop.
-        """
-        step_memo = self._steps
-        steps = []
-        idx = entry_idx
-        n = len(self._decode)
-        while idx < n and len(steps) < _BLOCK_CAP:
-            st = step_memo.get(idx)
-            if st is None:
-                st = self._translate_step(idx)
-                step_memo[idx] = st
-            if st is False:
-                break
-            steps.append(st)
-            idx += 1
-            kind = st[0]
-            if kind == _T_JUMP or kind == _T_HALT:
-                break
-        return (tuple(steps), idx) if steps else _NO_BLOCK
-
     def _translate_step(self, idx: int):
-        """Pre-bind the step tuple for one static instruction.
+        """Decode the step tuple of one site, or False when it cannot be
+        translated.
 
-        Position-dependent only through ``idx``/``pc``, so overlapping
-        superblocks share the result via the ``_steps`` memo.  Returns
-        ``False`` for untranslatable sites.
+        The tuple is ``(kind, instr, pc, idx, handler, meta, packed_srcs,
+        probe, trig)``.  Its step kind and meta bits are one lookup by
+        opcode code, its destination and source bits one lookup by the
+        instruction's shared operands; a trigger's ``trig`` carries its
+        pre-instantiated replacement body.  Sites whose semantics cannot
+        be hoisted (ctrl calls, stray codewords, expansion errors,
+        unsupported bodies) stay interpretive.
         """
-        entry = self._decode[idx]
-        if entry is None:
-            entry = self._decode_at(idx)
-        instr, is_reserved, handler, is_engine_trigger = entry
+        instr = self.image.instructions[idx]
         opcode = instr.opcode
         pc = self.image.addresses[idx]
+        engine = self.engine
         probe = None
-        if is_engine_trigger:
+        if engine is not None and opcode in engine.trigger_opcodes:
             try:
-                pre = self.engine.preexpand(instr, pc)
+                pre = engine.preexpand(instr, pc)
             except ExpansionError:
                 # Raises only when executed on the interpretive path.
                 return False
@@ -974,25 +934,21 @@ class Machine:
             # Trigger opcode, but no production matches this site: the
             # PT is still probed per dynamic instance.
             probe = opcode
-        cls = _APP_STEPS.get(opcode.kind)
-        if cls is None:
+        step = _APP_STEP[opcode.code]
+        if step is None:
             return False
-        kind, extra = cls
-        meta = opcode.code | extra | META_FETCH | META_TRIGGER
-        dest = instr.dest_reg()
-        if dest is not None:
-            meta |= (dest + 1) << DEST_SHIFT
-        return (kind, instr, pc, idx, handler, meta,
-                pack_srcs(instr.source_regs()), probe, None)
+        dest, srcs = _operand_bits(instr)
+        return (step[0], instr, pc, idx, _EXEC_TABLE[opcode.code],
+                step[1] | dest, srcs, probe, None)
 
     def _translate_body(self, exp) -> Optional[list]:
         """Pre-bind one instantiated replacement body, or None when any
-        instruction resists hoisting (ctrl calls can invalidate the block
-        they run in; codeword copies raise interpretively).
+        instruction resists hoisting (ctrl calls can swap the production
+        set they run under; codeword copies raise interpretively).
 
         Memoised per ``(seq_id, trigger_pc)``: instantiation is a pure
         function of the production set and the trigger instruction, both
-        fixed for the memo's lifetime (flushed with ``_blocks``).
+        fixed for the memo's lifetime (it lives beside the site table).
         """
         key = (exp.seq_id, exp.trigger_pc)
         cached = self._bodies.get(key)
@@ -1009,36 +965,37 @@ class Machine:
         offsets = exp.trigger_offsets
         body = []
         for k, binstr in enumerate(instrs):
-            bop = binstr.opcode
-            cls = _BODY_STEPS.get(bop.kind)
-            if cls is None:
+            code = binstr.opcode.code
+            step = _BODY_STEP[code]
+            if step is None:
                 return None
-            bkind, extra = cls
+            dest, srcs = _operand_bits(binstr)
             is_copy = k in offsets
-            meta = bop.code | extra | (k << DISEPC_SHIFT)
+            meta = step[1] | dest | (k << DISEPC_SHIFT)
             if k == 0:
                 meta |= META_FETCH
             if is_copy:
                 meta |= META_TRIGGER
-            dest = binstr.dest_reg()
-            if dest is not None:
-                meta |= (dest + 1) << DEST_SHIFT
-            body.append((bkind, binstr, _EXEC_TABLE[bop.code], meta,
-                         pack_srcs(binstr.source_regs()), is_copy))
+            body.append((step[0], binstr, _EXEC_TABLE[code], meta, srcs,
+                         is_copy))
         return body
 
-    def _exec_block(self, block, budget: int) -> int:
-        """Run one translated superblock; returns retirements executed.
+    def _exec_sites(self, budget: int) -> int:
+        """Run translated sites from ``self.idx``; returns retirements.
 
-        Mirrors the interpretive loop's observable behaviour exactly:
-        counter ordering, trace records (including the taken-DISE-branch
-        target quirk), observer calls, precise state at faults and halts,
-        and budget exhaustion mid-sequence all match ``step()``.
-        ``self.idx`` is kept current throughout, so exceptions raised by
-        handlers propagate with the same machine state the interpretive
-        path would leave.
+        Reads the step of each site from the per-site table, decoding it
+        the first time any machine bound to the table reaches the site,
+        and follows taken branches, jumps and trigger bodies in one loop.
+        Returns at a halt, when ``budget`` retirements are spent (also
+        mid-sequence), or at an untranslatable site, which the caller
+        steps interpretively.  Mirrors the interpretive loop's observable
+        behaviour exactly: counter ordering, trace records (including the
+        taken-DISE-branch target quirk), observer calls, and the precise
+        PC:DISEPC state left at halts, faults, budget exhaustion and
+        exceptions raised by handlers all match ``step()``.
         """
-        steps, exit_idx = block
+        sites = self._sites
+        translate = self._translate_step
         engine = self.engine
         record = self.record_trace
         observer = self._observer
@@ -1054,17 +1011,21 @@ class Machine:
         n_addr = len(addresses)
         profile = self._profile
         counts = self._opcode_counts
+        tally = counts is not None or profile is not None
+        idx = self.idx
+        disepc = 0
         executed = 0
-        retired = 0
         app = 0
-        i = 0
-        n = len(steps)
+        # The straight-line run in progress, for telemetry and the
+        # profiler: its first site and the counts when it began.
+        run_idx = idx
+        run_app = run_executed = 0
         try:
-            while i < n:
-                st = steps[i]
-                idx = st[3]
-                self.idx = idx
-                if executed >= budget:
+            while executed < budget:
+                st = sites[idx]
+                if st is None:
+                    st = sites[idx] = translate(idx)
+                if st is False:
                     return executed
                 kind = st[0]
                 instr = st[1]
@@ -1075,7 +1036,6 @@ class Machine:
                 app += 1
                 if kind == _T_SIMPLE:
                     st[4](self, instr, pc, idx, idx, True)
-                    retired += 1
                     executed += 1
                     if record:
                         pc_col.append(pc)
@@ -1085,11 +1045,10 @@ class Machine:
                         srcs_col.append(st[6])
                     if observe is not None:
                         observe(self, instr, pc, 0, True)
-                    i += 1
+                    idx += 1
                     continue
                 if kind == _T_MEM:
                     res = st[4](self, instr, pc, idx, idx, True)
-                    retired += 1
                     executed += 1
                     if record:
                         pc_col.append(pc)
@@ -1099,11 +1058,10 @@ class Machine:
                         srcs_col.append(st[6])
                     if observe is not None:
                         observe(self, instr, pc, 0, True)
-                    i += 1
+                    idx += 1
                     continue
                 if kind == _T_BRANCH:
                     res = st[4](self, instr, pc, idx, idx, True)
-                    retired += 1
                     executed += 1
                     taken = res[1]
                     if record:
@@ -1118,16 +1076,9 @@ class Machine:
                         srcs_col.append(st[6])
                     if observe is not None:
                         observe(self, instr, pc, 0, True)
-                    if taken:
-                        target_idx = res[2]
-                        self.idx = target_idx
-                        if target_idx != idx + 1:
-                            return executed
-                    i += 1
-                    continue
-                if kind == _T_JUMP:
+                    next_idx = res[2] if taken else idx + 1
+                elif kind == _T_JUMP:
                     res = st[4](self, instr, pc, idx, idx, True)
-                    retired += 1
                     executed += 1
                     if record:
                         pc_col.append(pc)
@@ -1139,11 +1090,9 @@ class Machine:
                         observe(self, instr, pc, 0, True)
                     if self.halted:
                         return executed   # bad jump: idx stays at the jump
-                    self.idx = res[2]
-                    return executed
-                if kind == _T_HALT:
+                    next_idx = res[2]
+                elif kind == _T_HALT:
                     st[4](self, instr, pc, idx, idx, True)
-                    retired += 1
                     executed += 1
                     if record:
                         pc_col.append(pc)
@@ -1154,149 +1103,155 @@ class Machine:
                     if observe is not None:
                         observe(self, instr, pc, 0, True)
                     return executed
-                # _T_TRIG: run the pre-bound replacement body inline.  Only
-                # the stateful PT/RT accesses and the counters remain from
-                # engine.process(); match + instantiation happened at
-                # translation time.
-                opcode, seq_id, spec_len, exp, body, production = st[8]
-                pt_miss = engine.pt.access(opcode)
-                if pt_miss:
-                    self.pt_misses += 1
-                rt_miss = engine.rt.access_sequence(seq_id, spec_len)
-                if rt_miss:
-                    self.rt_misses += 1
-                engine.expansions += 1
-                self.expansions += 1
-                if engine._tm is not None:
-                    # Same per-dynamic-expansion telemetry as
-                    # engine.process() on the interpretive tiers.
-                    engine._tm.record(engine, production, exp)
-                if profile is not None:
-                    ptrig = profile["trigger"]
-                    ptrig[pc] = ptrig.get(pc, 0) + 1
-                    pprod = profile["production"]
-                    pprod[seq_id] = pprod.get(seq_id, 0) + len(body)
-                event = (seq_id, len(body), pt_miss, rt_miss, exp.composed)
-                self._exp = exp
-                self._pending = None
-                self._disepc = 0
-                first = True
-                disepc = 0
-                nbody = len(body)
-                while disepc < nbody:
-                    if executed >= budget:
-                        # Out of budget mid-sequence: leave precise
-                        # PC:DISEPC state for the caller's timeout.
-                        self._disepc = disepc
-                        return executed
-                    belem = body[disepc]
-                    self._disepc = disepc
-                    binstr = belem[1]
-                    is_copy = belem[5]
-                    if counts is not None:
-                        # Inline (not batched): body length varies with
-                        # mid-sequence exits, and like the interpretive
-                        # counting wrapper the bump precedes the handler
-                        # call so faulting dispatches are counted.
-                        bop = binstr.opcode
-                        counts[bop] = counts.get(bop, 0) + 1
-                    res = belem[2](self, binstr, pc, idx, idx, is_copy)
-                    retired += 1
-                    executed += 1
-                    bkind = belem[0]
-                    if record:
-                        bmeta = belem[3]
-                        tgt = 0
-                        memv = 0
-                        if bkind == _B_MEM:
-                            memv = res[3]
-                        elif res[1]:
-                            bmeta |= META_TAKEN
-                            if bkind == _B_DISE:
-                                # Interpretive quirk, preserved for
-                                # bit-identical traces: a taken DISE branch
-                                # records addresses[target DISEPC].
-                                td = res[2]
-                                if td is not None:
-                                    bmeta |= META_TARGET
-                                    tgt = addresses[td] if td < n_addr else 0
-                            else:
-                                tpc = res[5]
-                                if tpc is None and res[2] is not None:
-                                    tpc = (addresses[res[2]]
-                                           if res[2] < n_addr else 0)
-                                if tpc is not None:
-                                    bmeta |= META_TARGET
-                                    tgt = tpc
-                        if first:
-                            bmeta |= META_EXP
-                            exp_map[len(pc_col)] = event
-                        pc_col.append(pc)
-                        meta_col.append(bmeta)
-                        mem_col.append(memv)
-                        tgt_col.append(tgt)
-                        srcs_col.append(belem[4])
-                    first = False
-                    if observe is not None:
-                        observe(self, binstr, pc, disepc, is_copy)
-                    if bkind == _B_SIMPLE or bkind == _B_MEM:
-                        disepc += 1
-                    elif bkind == _B_DISE:
-                        disepc = res[2] if res[1] else disepc + 1
-                    elif self.halted:
-                        # Fault/halt mid-sequence: expansion state stays
-                        # live, exactly as the interpretive path leaves it.
-                        self._disepc = disepc
-                        return executed
-                    elif res[1]:
-                        if is_copy:
-                            # Predicted-path semantics: the outcome applies
-                            # at sequence end.
-                            self._pending = res[2]
+                else:
+                    # _T_TRIG: run the pre-bound replacement body inline.
+                    # Only the stateful PT/RT accesses and the counters
+                    # remain from engine.process(); match and
+                    # instantiation happened at translation time.
+                    opcode, seq_id, spec_len, exp, body, production = st[8]
+                    pt_miss = engine.pt.access(opcode)
+                    if pt_miss:
+                        self.pt_misses += 1
+                    rt_miss = engine.rt.access_sequence(seq_id, spec_len)
+                    if rt_miss:
+                        self.rt_misses += 1
+                    engine.expansions += 1
+                    self.expansions += 1
+                    if engine._tm is not None:
+                        # Same per-dynamic-expansion telemetry as
+                        # engine.process() on the interpretive path.
+                        engine._tm.record(engine, production, exp)
+                    if profile is not None:
+                        ptrig = profile["trigger"]
+                        ptrig[pc] = ptrig.get(pc, 0) + 1
+                        pprod = profile["production"]
+                        pprod[seq_id] = pprod.get(seq_id, 0) + len(body)
+                    event = (seq_id, len(body), pt_miss, rt_miss,
+                             exp.composed)
+                    self._exp = exp
+                    self._pending = None
+                    first = True
+                    disepc = 0
+                    nbody = len(body)
+                    next_idx = idx + 1
+                    while disepc < nbody:
+                        if executed >= budget:
+                            # Out of budget mid-sequence: the caller's
+                            # timeout sees precise PC:DISEPC state.
+                            return executed
+                        belem = body[disepc]
+                        binstr = belem[1]
+                        is_copy = belem[5]
+                        if counts is not None:
+                            # Inline (not per run): body length varies with
+                            # mid-sequence exits, and like the interpretive
+                            # counting wrapper the bump precedes the
+                            # handler call so faulting dispatches count.
+                            bop = binstr.opcode
+                            counts[bop] = counts.get(bop, 0) + 1
+                        res = belem[2](self, binstr, pc, idx, idx, is_copy)
+                        executed += 1
+                        bkind = belem[0]
+                        if record:
+                            bmeta = belem[3]
+                            tgt = 0
+                            memv = 0
+                            if bkind == _B_MEM:
+                                memv = res[3]
+                            elif res[1]:
+                                bmeta |= META_TAKEN
+                                if bkind == _B_DISE:
+                                    # Interpretive quirk, preserved for
+                                    # bit-identical traces: a taken DISE
+                                    # branch records addresses[target
+                                    # DISEPC].
+                                    td = res[2]
+                                    if td is not None:
+                                        bmeta |= META_TARGET
+                                        tgt = (addresses[td] if td < n_addr
+                                               else 0)
+                                else:
+                                    tpc = res[5]
+                                    if tpc is None and res[2] is not None:
+                                        tpc = (addresses[res[2]]
+                                               if res[2] < n_addr else 0)
+                                    if tpc is not None:
+                                        bmeta |= META_TARGET
+                                        tgt = tpc
+                            if first:
+                                bmeta |= META_EXP
+                                exp_map[len(pc_col)] = event
+                            pc_col.append(pc)
+                            meta_col.append(bmeta)
+                            mem_col.append(memv)
+                            tgt_col.append(tgt)
+                            srcs_col.append(belem[4])
+                        first = False
+                        if observe is not None:
+                            observe(self, binstr, pc, disepc, is_copy)
+                        if bkind == _B_SIMPLE or bkind == _B_MEM:
                             disepc += 1
-                        else:
+                        elif bkind == _B_DISE:
+                            disepc = res[2] if res[1] else disepc + 1
+                        elif self.halted:
+                            # Fault/halt mid-sequence: expansion state
+                            # stays live, as the interpretive path leaves
+                            # it.
+                            return executed
+                        elif res[1] and not is_copy:
                             # Effectively predicted not-taken: squash.
                             next_idx = res[2]
-                            self._exp = None
-                            self._disepc = 0
-                            self._pending = None
-                            self.idx = next_idx
-                            return executed
+                            break
+                        else:
+                            if res[1]:
+                                # Predicted-path semantics: the outcome
+                                # applies at sequence end.
+                                self._pending = res[2]
+                            disepc += 1
                     else:
-                        disepc += 1
-                pending = self._pending
-                next_idx = pending if pending is not None else idx + 1
-                self._exp = None
-                self._disepc = 0
-                self._pending = None
-                self.idx = next_idx
-                if next_idx != idx + 1:
-                    return executed
-                i += 1
-            self.idx = exit_idx
+                        if self._pending is not None:
+                            next_idx = self._pending
+                    self._exp = None
+                    self._pending = None
+                if next_idx != idx + 1 and tally:
+                    self._tally_run(run_idx, app - run_app,
+                                    executed - run_executed)
+                    run_idx, run_app, run_executed = next_idx, app, executed
+                idx = next_idx
             return executed
         finally:
-            self.instructions += retired
+            self.idx = idx
+            if self._exp is not None:
+                self._disepc = disepc
+            self.instructions += executed
             self.app_instructions += app
             if engine is not None:
                 engine.inspected += app
-            if counts is not None:
-                # Per-opcode telemetry for the app-level steps, batched at
-                # the block boundary.  ``app`` was bumped before each
-                # dispatch, so a faulting step is included — the same
-                # semantics as the interpretive counting wrapper.  Trigger
-                # steps are skipped: the trigger instruction itself never
-                # passes through dispatch (its replacement body, counted
-                # inline above, retires in its place).
-                for k in range(app):
-                    st_k = steps[k]
-                    if st_k[0] != _T_TRIG:
-                        op = st_k[1].opcode
-                        counts[op] = counts.get(op, 0) + 1
-            if profile is not None and retired:
-                entry_pc = steps[0][2]
-                pblocks = profile["block"]
-                pblocks[entry_pc] = pblocks.get(entry_pc, 0) + retired
+            if tally:
+                self._tally_run(run_idx, app - run_app,
+                                executed - run_executed)
+
+    def _tally_run(self, start: int, app: int, retired: int):
+        """Per-opcode telemetry and profile of one straight-line run.
+
+        The run's ``app`` app-level sites are consecutive from index
+        ``start``; each one's opcode is counted, as the interpretive
+        counting wrapper would (``app`` is bumped before each dispatch, so
+        a faulting site is included), except triggers, whose replacement
+        bodies retire in their place and are counted inline.  The run's
+        ``retired`` retirements go to its entry PC in the profile.
+        """
+        counts = self._opcode_counts
+        if counts is not None:
+            for st in self._sites[start:start + app]:
+                if st[0] != _T_TRIG:
+                    op = st[1].opcode
+                    counts[op] = counts.get(op, 0) + 1
+        profile = self._profile
+        if profile is not None and retired:
+            entry_pc = self.image.addresses[start]
+            pblocks = profile["block"]
+            pblocks[entry_pc] = pblocks.get(entry_pc, 0) + retired
 
     # ------------------------------------------------------------------
     # Precise state (PC:DISEPC checkpoints, Section 2.1/2.2)
@@ -1315,7 +1270,7 @@ class Machine:
         production set also re-binds to the warm
         ``image._translation_store`` entry (keyed by the engine's
         content-based ``production_signature``), so the restored run
-        skips interpretive warmup entirely — see
+        decodes no site an earlier machine already reached — see
         :meth:`_attach_translations`.
         """
         return {

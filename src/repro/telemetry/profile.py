@@ -1,20 +1,20 @@
-"""Hot-path profiler: retirement attribution per superblock/trigger/production.
+"""Hot-path profiler: retirement attribution per block/trigger/production.
 
-The translated and batch tiers (PRs 5–6) retire almost everything inside
-pre-bound superblocks, so per-opcode telemetry cannot say *which code* is
-hot.  This profiler attributes retirement counts to:
+The translated and batch tiers retire almost everything through pre-bound
+steps, so per-opcode telemetry cannot say *which code* is hot.  This
+profiler attributes retirement counts to:
 
-* **superblocks** — the entry PC of each translated superblock (translated
-  tier), compiled block (batch lanes), or dynamic basic-block leader (the
-  interpretive generic tier, where no superblocks exist: a leader is any
-  PC reached non-sequentially);
+* **blocks** — the entry PC of each straight-line run of translated sites
+  (translated tier), compiled block (batch lanes), or dynamic basic-block
+  leader (the interpretive generic tier: a leader is any PC reached
+  non-sequentially);
 * **trigger PCs** — expansions taken per trigger site;
 * **productions** — DISE-injected instructions per production (``seq<N>``).
 
 Attribution is block-granular on the translated and batch tiers (one
-dict bump per superblock execution, not per instruction), and on the
-translated tier the hooks live in the superblock runner, so dispatch
-stays unwrapped (``tests/test_tracing.py`` pins this).
+dict bump per run or compiled-block call, not per instruction), and on
+the translated tier the hooks live in the site runner, so dispatch stays
+unwrapped (``tests/test_tracing.py`` pins this).
 Like everything in :mod:`repro.telemetry`, it is opt-in
 (``REPRO_TRACE_PROFILE``) and gated at machine construction: with the
 profiler off, no hook exists on the dispatch path and the structural
@@ -133,7 +133,7 @@ def collapsed_from_metrics(metrics: Dict[str, dict]) -> List[str]:
     stacks.
 
     One line per frame stack: ``sim;<tier>;sb_0x<pc> <retired>`` for
-    superblock retirement, ``dise;trigger;0x<pc> <expansions>`` and
+    block retirement, ``dise;trigger;0x<pc> <expansions>`` and
     ``dise;production;seq<N> <injected>`` for the DISE dimensions.  Lines
     are sorted by descending count then name, so the ranking is
     deterministic for seeded runs.
@@ -177,7 +177,7 @@ def collapsed_from_machine(machine) -> List[str]:
 
 
 def top_blocks(metrics: Dict[str, dict], n: int = 10) -> List[tuple]:
-    """The ``n`` hottest superblocks: ``(tier, pc-label, retired)``."""
+    """The ``n`` hottest blocks: ``(tier, pc-label, retired)``."""
     rows = []
     for name, entry in metrics.items():
         if name.startswith("profile.block.") and entry.get("value"):

@@ -366,7 +366,7 @@ def reseed_data(image: ProgramImage, profile: BenchmarkProfile,
         data_size=image.data_size,
         load_addresses=image.load_addresses,
     )
-    # Share the image-wide caches: translations and compiled superblocks
+    # Share the image-wide caches: decoded sites and compiled blocks
     # depend only on text + productions, both identical across variants.
     for attr in ("_translation_store", "_batch_store"):
         store = getattr(image, attr, None)

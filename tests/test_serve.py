@@ -216,7 +216,8 @@ class TestMachineCheckpointFork:
         first = installation.make_machine(record_trace=False)
         first.run()
         fresh = installation.make_machine(record_trace=False)
-        assert fresh._warm is True
+        assert fresh._sites is first._sites
+        assert any(fresh._sites)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Superblock translation cache: precise state, invalidation, sharing.
+"""Per-site translation table: precise state, invalidation, sharing.
 
-The translated dispatch tier pre-decodes basic blocks (including
-instantiated DISE replacement bodies) into pre-bound handler thunks that
-live in an image-wide store shared by every machine running the same
-production set.  These tests pin the properties the tier must preserve:
+The translated dispatch tier decodes each executed site (including its
+instantiated DISE replacement body) once, on its first execution, into a
+pre-bound step in a per-site table that lives in an image-wide store
+shared by every machine running the same production set.  These tests
+pin the properties the tier must preserve:
 
 * precise PC:DISEPC state — checkpoints taken at any retirement boundary
   (including mid-sequence) restore and replay bit-identically, and the
@@ -13,8 +14,8 @@ production set.  These tests pin the properties the tier must preserve:
   to the store entry for the new active set without destroying warm
   translations for other sets; in-place invalidation clears everything;
 * cross-machine sharing — a fresh machine on a warm image starts with
-  the translated superblocks already attached, even under a different
-  controller holding an equal production set;
+  the decoded sites already attached, even under a different controller
+  holding an equal production set;
 * observational equivalence — serialized traces, verify-observer digests,
   and interrupted-and-resumed fault campaigns agree with the generic
   reference tier.
@@ -24,6 +25,9 @@ import json
 
 import pytest
 
+from repro.acf.base import plain_installation
+from repro.acf.compression import compress_image
+from repro.acf.mfi import attach_mfi, rewrite_mfi
 from repro.core.controller import DiseController
 from repro.core.language import parse_productions
 from repro.errors import ExecutionTimeout
@@ -37,7 +41,10 @@ from repro.isa.build import Imm, bis, bne, halt, out, stq, subq
 from repro.isa.registers import dise_reg
 from repro.program.builder import ProgramBuilder
 from repro.sim.functional import Machine
+from repro.telemetry import enabled_scope
+from repro.telemetry import registry as registry_mod
 from repro.verify.observe import Observer
+from repro.workloads import generate_by_name
 
 from conftest import A1, T0, ZERO
 
@@ -66,9 +73,8 @@ R1:
 
 
 def build_loop_image(trips=4):
-    """A store loop: the loop entry is revisited, so the warmup gate
-    admits it and the translated tier actually builds superblocks (a
-    straight-line program would run entirely interpretively)."""
+    """A store loop: its sites retire several times each, through the
+    MFI-expanded stores and the backward branch."""
     b = ProgramBuilder()
     b.alloc_data("buf", 1, init=[0])
     b.label("main")
@@ -138,7 +144,7 @@ class TestPreciseStateTranslated:
     def test_timeout_checkpoints_identical_across_tiers(self):
         """The step budget retires the same dynamic-instruction prefix in
         every tier: interrupting at any count yields identical precise
-        state, superblock boundaries notwithstanding."""
+        state, wherever translated runs of sites begin and end."""
         total = make_machine("generic").run().instructions
         for budget in range(1, total):
             states = {}
@@ -182,26 +188,26 @@ class TestInvalidation:
         machine.run()
         store = image._translation_store
         sig_mfi = controller.engine.production_signature
-        assert machine._blocks is store[sig_mfi][0]
-        assert machine._blocks, "loop entry should have been translated"
+        assert machine._sites is store[sig_mfi][0]
+        assert any(machine._sites), "executed sites should be decoded"
 
         # Swap to the audit set: the invalidation listener re-binds the
-        # machine to the new signature's (empty) entry...
+        # machine to the new signature's (undecoded) entry...
         controller.uninstall("acf")
         controller.install(parse_productions(AUDIT_PSET, name="audit"))
         sig_audit = controller.engine.production_signature
         assert sig_audit != sig_mfi
-        assert machine._blocks is store[sig_audit][0]
-        assert not machine._blocks
+        assert machine._sites is store[sig_audit][0]
+        assert not any(machine._sites)
         # ...while the MFI translations stay warm under their own key.
-        assert store[sig_mfi][0]
+        assert any(store[sig_mfi][0])
 
         # Swapping back re-attaches the warm entry.
         controller.uninstall("audit")
         controller.install(parse_productions(MFI_PSET))
         assert controller.engine.production_signature == sig_mfi
-        assert machine._blocks is store[sig_mfi][0]
-        assert machine._blocks
+        assert machine._sites is store[sig_mfi][0]
+        assert any(machine._sites)
 
     def test_mid_run_production_swap_matches_generic(self):
         """A live machine survives an external production-set swap: the
@@ -226,12 +232,12 @@ class TestInvalidation:
         image = build_loop_image()
         machine = make_machine("translated", image=image)
         machine.run()
-        assert machine._blocks
+        assert any(machine._sites)
         machine.invalidate_translations()
-        assert not machine._blocks
-        assert not machine._steps
-        assert sum(len(entry[0]) for entry
-                   in image._translation_store.values()) == 0
+        assert not any(machine._sites)
+        assert not machine._bodies
+        assert not any(any(entry[0]) for entry
+                       in image._translation_store.values())
 
 
 class TestSharedStore:
@@ -242,11 +248,11 @@ class TestSharedStore:
         first = make_machine("translated", image=image,
                              controller=controller)
         reference = first.run()
-        assert first._blocks
+        assert any(first._sites)
 
         second = make_machine("translated", image=image,
                               controller=controller)
-        assert second._blocks is first._blocks, \
+        assert second._sites is first._sites, \
             "machines on one image+productions must share translations"
         result = second.run()
         assert result.outputs == reference.outputs
@@ -259,12 +265,12 @@ class TestSharedStore:
         image = build_loop_image()
         first = make_machine("translated", image=image)
         reference = first.run()
-        assert first._blocks
+        assert any(first._sites)
 
         other = DiseController()
         other.install(parse_productions(MFI_PSET))
         second = make_machine("translated", image=image, controller=other)
-        assert second._blocks is first._blocks
+        assert second._sites is first._sites
         result = second.run()
         assert result.outputs == reference.outputs
         assert result.final_regs == reference.final_regs
@@ -274,8 +280,104 @@ class TestSharedStore:
         first = make_machine("translated", image=image)
         first.run()
         second = make_machine("translated", image=image, source=AUDIT_PSET)
-        assert second._blocks is not first._blocks
-        assert not second._blocks
+        assert second._sites is not first._sites
+        assert not any(second._sites)
+
+
+def fresh_installation(kind):
+    """One of gzip's figure installations at scale 0.05, on its own newly
+    generated image, so that no site starts decoded."""
+    image = generate_by_name("gzip", scale=0.05)
+    if kind == "plain":
+        return plain_installation(image)
+    if kind == "rewrite":
+        return rewrite_mfi(image)
+    if kind == "compressed":
+        return compress_image(image).installation()
+    return attach_mfi(image, kind)
+
+
+class TestFirstTouchTranslation:
+    """Each executed site is decoded once, on its first execution, with no
+    interpretive step on the figure installations, and a second machine
+    on the same installation decodes nothing."""
+
+    @pytest.mark.parametrize("kind", ["plain", "dise3", "dise4", "rewrite",
+                                      "compressed"])
+    def test_each_executed_site_decoded_once(self, kind, monkeypatch):
+        installation = fresh_installation(kind)
+        steps, decoded = [], []
+        step, translate = Machine.step, Machine._translate_step
+        monkeypatch.setattr(Machine, "step",
+                            lambda m: steps.append(m.idx) or step(m))
+        monkeypatch.setattr(
+            Machine, "_translate_step",
+            lambda m, idx: decoded.append(idx) or translate(m, idx))
+        trace = installation.make_machine(dispatch="translated").run()
+        index_of = installation.image.index_of_addr
+        executed = {index_of[pc] for pc in trace.columns.pc}
+        assert steps == []
+        assert sorted(decoded) == sorted(executed)
+
+        decoded.clear()
+        again = installation.make_machine(dispatch="translated").run()
+        assert decoded == [] and steps == []
+        assert list(again.columns.meta) == list(trace.columns.meta)
+
+
+class TestTelemetryAcrossTiers:
+    """Translated and generic runs publish the same ``sim.*`` counters:
+    totals, memory operations and every per-opcode count."""
+
+    @staticmethod
+    def _counters(installation, dispatch, max_steps=5_000_000):
+        registry_mod.get_registry().reset()
+        try:
+            with enabled_scope(True):
+                machine = installation.make_machine(dispatch=dispatch)
+                try:
+                    machine.run(max_steps=max_steps)
+                except ExecutionTimeout:
+                    machine.result()
+                snapshot = registry_mod.snapshot()
+        finally:
+            registry_mod.get_registry().reset()
+        counters = {name: entry for name, entry in snapshot.items()
+                    if name.startswith("sim.")}
+        return counters, machine
+
+    @pytest.mark.parametrize("kind", ["plain", "dise3", "rewrite",
+                                      "compressed"])
+    def test_full_runs_publish_equal_counters(self, kind):
+        installation = fresh_installation(kind)
+        translated, _ = self._counters(installation, "translated")
+        generic, _ = self._counters(installation, "generic")
+        assert translated == generic
+        for name in ("sim.instructions", "sim.app_instructions",
+                     "sim.mem.loads", "sim.mem.stores"):
+            assert translated[name]["value"] > 0, name
+        if kind in ("dise3", "compressed"):
+            assert translated["sim.expansions"]["value"] > 0
+            assert translated["sim.pt_misses"]["value"] > 0
+            assert translated["sim.rt_misses"]["value"] > 0
+
+    def test_budget_cut_inside_a_body_publishes_equal_counters(self):
+        installation = fresh_installation("dise3")
+        for budget in range(5_000, 5_100):
+            probe = installation.make_machine(dispatch="generic",
+                                              record_trace=False)
+            with pytest.raises(ExecutionTimeout):
+                probe.run(max_steps=budget)
+            if probe._exp is not None:
+                break
+        else:
+            pytest.fail("no budget ends inside a replacement body")
+        translated, machine = self._counters(installation, "translated",
+                                             budget)
+        assert machine._exp is not None
+        generic, _ = self._counters(installation, "generic", budget)
+        assert translated == generic
+        assert translated["sim.instructions"]["value"] == budget
 
 
 class TestFaultCampaignUnderTranslation:

@@ -42,6 +42,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.acf.base import AcfInstallation, plain_installation
 from repro.acf.mfi import MFI_FAULT_CODE, attach_mfi, ensure_error_stub
 from repro.core.config import DiseConfig
@@ -63,7 +65,7 @@ from repro.faults.inject import (
     profile_sites,
     state_mutator,
 )
-from repro.sim.batch import BatchMachine
+from repro.sim.trace import META_FETCH
 from repro.telemetry import events as _events
 from repro.telemetry import registry as _telemetry
 from repro.workloads.generator import generate_by_name
@@ -158,7 +160,8 @@ def _same_outcome(a: Dict[str, object], b: Dict[str, object]) -> bool:
 
 
 class _Bench:
-    """A prepared benchmark: images, baselines, site pools, hang budget."""
+    """A prepared benchmark: images, baselines, site pools, fault-site
+    arrivals, hang budget."""
 
     def __init__(self, name: str, *, scale: float, variant: str,
                  max_steps: int):
@@ -176,6 +179,9 @@ class _Bench:
 
         plain_trace = self.plain.run(max_steps=max_steps)
         self.profile = profile_sites(self.image, plain_trace)
+        #: Per variant (keyed by ``mfi``), the retirement index and pc of
+        #: each app-level fetch in its unfaulted run.
+        self._arrivals = {False: _fetch_arrivals(plain_trace)}
         self.plain_base = _summarize(
             plain_trace.fault_code, plain_trace.halted,
             plain_trace.outputs, plain_trace.final_memory,
@@ -198,6 +204,28 @@ class _Bench:
         budget = max(plain_trace.instructions, mfi_trace.instructions) * 5
         self.max_steps = min(budget + 10_000, max_steps)
 
+    def arrival(self, mfi: bool, site_pc: int, visit: int) -> Optional[int]:
+        """Retirements before the *visit*-th app-level arrival at
+        ``site_pc`` in the variant's unfaulted run, or None when control
+        arrives there fewer times.  The MFI run is recorded on first use,
+        so a process that only replays stored faults never pays for it."""
+        arrivals = self._arrivals.get(mfi)
+        if arrivals is None:
+            trace = self.mfi.run(_CAMPAIGN_DISE, max_steps=self.max_steps)
+            arrivals = self._arrivals[mfi] = _fetch_arrivals(trace)
+        index, pcs = arrivals
+        hits = index[pcs == site_pc]
+        return int(hits[visit - 1]) if visit <= len(hits) else None
+
+
+def _fetch_arrivals(trace) -> Tuple[np.ndarray, np.ndarray]:
+    """Index and pc of every op that fetched its instruction: one per
+    app-level arrival, a trigger's at DISEPC 0 of its replacement body."""
+    pcs = np.frombuffer(trace.columns.pc, dtype=np.uint64)
+    meta = np.frombuffer(trace.columns.meta, dtype=np.uint64)
+    index = np.flatnonzero(meta & META_FETCH)
+    return index, pcs[index]
+
 
 #: Per-process memo of prepared benchmarks, keyed by everything a
 #: :class:`_Bench` depends on.  Fabric workers fill it on demand (baseline
@@ -219,33 +247,40 @@ def _bench_for(name: str, scale: float, variant: str,
 # ----------------------------------------------------------------------
 # Running one faulted program
 # ----------------------------------------------------------------------
-def _drive(machine, site_index: Optional[int], visit: int,
-           mutator: Optional[Callable], reg: Optional[int],
-           max_steps: int):
-    """Run to halt, applying the state corruption at the fault's dynamic
-    site (the *visit*-th time control reaches it at app level)."""
-    fired = mutator is None
-    visits = 0
-    steps = 0
-    while not machine.halted and steps < max_steps:
-        if (not fired and machine._exp is None
-                and machine.idx == site_index):
-            visits += 1
-            if visits == visit:
-                mutator(machine, reg)
-                fired = True
-        machine.step()
-        steps += 1
-    if not machine.halted:
+def _drive(machine, arrival: Optional[int], mutator: Optional[Callable],
+           reg: Optional[int], max_steps: int):
+    """Run to halt, applying the state corruption after ``arrival``
+    retirements (``None``: never).
+
+    The run is deterministic up to the fault, so its unfaulted twin
+    reached the fault's dynamic site after exactly that many
+    retirements; the first leg stops there, at the PC:DISEPC boundary
+    where control has just arrived at the site at app level.  A timeout
+    names the whole budget, as one uninterrupted run's would.
+    """
+    left = max_steps
+    try:
+        if arrival is not None:
+            try:
+                machine.run(max_steps=arrival)
+            except ExecutionTimeout:
+                pass    # the first leg's budget ends at the visit
+            mutator(machine, reg)
+            left -= arrival
+        machine.run(max_steps=left)
+    except ExecutionTimeout:
         raise ExecutionTimeout(
             f"faulted run did not halt within {max_steps} dynamic "
             "instructions", steps=max_steps, index=machine.idx,
-        )
+        ) from None
 
 
 def _run_variant(spec: FaultSpec, bench: _Bench,
                  mfi: bool) -> Dict[str, object]:
-    """Run one faulted program under one variant; never raises."""
+    """Run one faulted program under one variant; never raises.
+
+    Every run publishes its ``sim.*`` counters, whatever its outcome.
+    """
     base = bench.mfi if mfi else bench.plain
     mutator = state_mutator(spec)
     if mutator is None:
@@ -254,22 +289,23 @@ def _run_variant(spec: FaultSpec, bench: _Bench,
             image=image, production_sets=base.production_sets,
             init_machine=base.init_machine, name=base.name,
         )
-        site_index = None
-        reg = None
+        arrival = reg = None
     else:
         installation = base
-        site_index = bench.image.index_of_addr[spec.site_pc]
-        reg = bench.image.instructions[site_index].rs
+        arrival = bench.arrival(mfi, spec.site_pc, spec.visit)
+        reg = bench.image.instructions[
+            bench.image.index_of_addr[spec.site_pc]].rs
     machine = installation.make_machine(
         _CAMPAIGN_DISE if mfi else None, record_trace=False,
     )
     try:
-        _drive(machine, site_index, spec.visit, mutator, reg,
-               bench.max_steps)
+        _drive(machine, arrival, mutator, reg, bench.max_steps)
     except ExecutionTimeout as exc:
         return {"status": "hang", "error": exc.details()}
     except ExecutionError as exc:
         return {"status": "crash", "error": exc.details()}
+    finally:
+        machine.result()
     return _summarize(machine.fault_code, machine.halted,
                       machine.outputs, machine.mem)
 
@@ -306,77 +342,6 @@ def _run_one(spec: Optional[FaultSpec], fault_id: str, bench_name: str,
 
 
 # ----------------------------------------------------------------------
-# Batched execution (REPRO_BATCH / batch=): same results, cohort-stepped
-# ----------------------------------------------------------------------
-def _add_variant_lane(cohort: BatchMachine, spec: FaultSpec, bench: _Bench,
-                      mfi: bool) -> int:
-    """One faulted variant run as a batch lane (state-mutator faults)."""
-    base = bench.mfi if mfi else bench.plain
-    site_index = bench.image.index_of_addr[spec.site_pc]
-    reg = bench.image.instructions[site_index].rs
-    machine = base.make_machine(
-        _CAMPAIGN_DISE if mfi else None, record_trace=False,
-    )
-    return cohort.add_lane(
-        machine, max_steps=bench.max_steps,
-        watch=(site_index, spec.visit, state_mutator(spec), reg),
-    )
-
-
-def _lane_result(cohort: BatchMachine, lane: int,
-                 max_steps: int) -> Dict[str, object]:
-    """Map a finished lane to :func:`_run_variant`'s result dict."""
-    outcome = cohort.outcomes()[lane]
-    machine = outcome.machine
-    if outcome.status == "error":
-        return {"status": "crash", "error": outcome.error.details()}
-    if outcome.status == "timeout":
-        exc = ExecutionTimeout(
-            f"faulted run did not halt within {max_steps} dynamic "
-            "instructions", steps=max_steps, index=machine.idx,
-        )
-        return {"status": "hang", "error": exc.details()}
-    return _summarize(machine.fault_code, machine.halted,
-                      machine.outputs, machine.mem)
-
-
-def _run_wave(wave: List[Tuple[str, str, str, Optional[_Bench],
-                               Optional[FaultSpec]]]
-              ) -> List[Dict[str, object]]:
-    """Run one wave of faults, cohort-stepping the state-mutator pairs.
-
-    Image-mutation and skipped faults take the scalar path — each one
-    executes a different text segment, so there is nothing to share.
-    Returns one record per wave entry, in order.
-    """
-    cohort = BatchMachine()
-    lanes: Dict[int, Tuple[int, int]] = {}
-    for pos, (fault_id, bench_name, fault_class, bench, spec) in \
-            enumerate(wave):
-        if spec is not None and state_mutator(spec) is not None:
-            lanes[pos] = (_add_variant_lane(cohort, spec, bench, False),
-                          _add_variant_lane(cohort, spec, bench, True))
-    if lanes:
-        cohort.run()
-    records = []
-    for pos, (fault_id, bench_name, fault_class, bench, spec) in \
-            enumerate(wave):
-        if pos not in lanes:
-            records.append(_run_one(spec, fault_id, bench_name,
-                                    fault_class, bench))
-            continue
-        plain_lane, mfi_lane = lanes[pos]
-        record = {
-            "spec": spec.to_dict(),
-            "plain": _lane_result(cohort, plain_lane, bench.max_steps),
-            "mfi": _lane_result(cohort, mfi_lane, bench.max_steps),
-        }
-        record["outcome"] = _classify(record, bench)
-        records.append(record)
-    return records
-
-
-# ----------------------------------------------------------------------
 # Checkpointing
 # ----------------------------------------------------------------------
 def _atomic_write_json(path: str, payload: Dict[str, object]):
@@ -395,7 +360,7 @@ def _atomic_write_json(path: str, payload: Dict[str, object]):
 
 
 # ----------------------------------------------------------------------
-# The fabric recipe: one planned fault (plus its cohort batch form)
+# The fabric recipe: one planned fault
 # ----------------------------------------------------------------------
 def _plan_fault(params: Dict[str, object]):
     """Plan one fault from its task parameters (pure given the params)."""
@@ -417,12 +382,7 @@ def _fault_recipe(params: Dict[str, object]) -> Dict[str, object]:
     return _run_one(spec, fault_id, bench_name, fault_class, bench)
 
 
-def _fault_batch(params_list) -> List[Dict[str, object]]:
-    """Cohort form: one wave of faults, lockstepping same-image pairs."""
-    return _run_wave([_plan_fault(params) for params in params_list])
-
-
-register_recipe("repro.faults.campaign:fault", _fault_recipe, _fault_batch)
+register_recipe("repro.faults.campaign:fault", _fault_recipe)
 
 
 def _fault_task(config: CampaignConfig, index: int) -> Task:
@@ -461,14 +421,14 @@ def run_campaign(config: CampaignConfig,
     interrupted run — checkpoints and raises :class:`CampaignInterrupted`
     after that many *newly computed* faults.
 
-    ``batch`` (default: the ``REPRO_BATCH`` environment variable) runs
-    same-image fault pairs as a lockstep cohort per wave, and ``jobs``
-    (default: ``REPRO_JOBS``) fans faults out over supervised worker
-    processes — both pure execution accelerators: records, checkpoints,
-    progress counts and reports are bit-identical to the serial path, so
-    neither is part of the config fingerprint.  ``fabric_options`` passes
-    extra :class:`~repro.fabric.engine.Fabric` knobs through (``store``,
-    ``chaos``, ``task_timeout``...).
+    ``jobs`` (default: ``REPRO_JOBS``) fans faults out over supervised
+    worker processes — a pure execution accelerator: records,
+    checkpoints, progress counts and reports are bit-identical to the
+    serial path, so it is not part of the config fingerprint.  ``batch``
+    is accepted and has no effect on the campaign: every faulted program
+    runs on the translated tier, one fault at a time.  ``fabric_options``
+    passes extra :class:`~repro.fabric.engine.Fabric` knobs through
+    (``store``, ``chaos``, ``task_timeout``...).
     """
     config.validate()
     if resume and not checkpoint_path:
@@ -502,7 +462,7 @@ def run_campaign(config: CampaignConfig,
         **(fabric_options or {}),
     )
     tasks = [_fault_task(config, i) for i in range(config.faults)]
-    records = fabric.run(tasks, on_result=on_result, batch=batch)
+    records = fabric.run(tasks, on_result=on_result)
 
     # Benchmarks never drawn by the seed still contribute their control
     # run, so the false-positive check always covers the configured set.

@@ -42,7 +42,7 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.program.builder import SEGMENT_SHIFT
 from repro.program.image import ProgramImage
 from repro.sim.memory import MASK64
-from repro.sim.trace import TraceResult
+from repro.sim.trace import META_MEM, TraceResult
 
 #: The fault taxonomy, in campaign order.
 FAULT_CLASSES = (
@@ -126,49 +126,60 @@ class SiteProfile:
 
 
 def profile_sites(image: ProgramImage, trace: TraceResult) -> SiteProfile:
-    """Harvest per-class injection-site pools from a profiling trace."""
+    """Harvest per-class injection-site pools from a profiling trace.
+
+    Walks the trace's pc, metadata and memory-address columns; what each
+    visited pc contributes is decided once, on its first visit.
+    """
     index_of_addr = image.index_of_addr
     visits: Dict[int, int] = {}
+    #: pc -> (pool, displacement) of a pool site, () for any other.
+    sites: Dict[int, tuple] = {}
     loads: List[Tuple[int, int, int]] = []
     stores: List[Tuple[int, int, int]] = []
     jumps: List[Tuple[int, int, Optional[int]]] = []
     mem_sites: List[int] = []
     seen_mem = set()
     executed: List[int] = []
-    seen_exec = set()
 
-    for op in trace.ops:
-        pc = op.pc
-        idx = index_of_addr.get(pc)
-        if idx is None:
-            continue
-        visit = visits.get(pc, 0) + 1
-        visits[pc] = visit
-        if pc not in seen_exec:
-            seen_exec.add(pc)
+    cols = trace.columns
+    for pc, meta, mem in zip(cols.pc, cols.meta, cols.mem):
+        site = sites.get(pc)
+        if site is None:
+            idx = index_of_addr.get(pc)
+            if idx is None:
+                continue
             executed.append(pc)
-        instr = image.instructions[idx]
-        opclass = instr.opclass
-        if opclass in (OpClass.LOAD, OpClass.STORE):
-            base_reg = instr.rb
-            if base_reg is None or base_reg == _ZERO or base_reg >= 32:
-                continue
-            if op.mem_addr is None:
-                continue
-            base = (op.mem_addr - (instr.imm or 0)) & MASK64
-            (loads if opclass is OpClass.LOAD else stores).append(
-                (pc, visit, base)
-            )
+            site = sites[pc] = _site_pool(image.instructions[idx], loads,
+                                          stores, jumps)
+        visit = visits[pc] = visits.get(pc, 0) + 1
+        if not site:
+            continue
+        pool, imm = site
+        if pool is jumps:
+            jumps.append((pc, visit, None))
+        elif meta & META_MEM:
+            pool.append((pc, visit, (mem - imm) & MASK64))
             if pc not in seen_mem:
                 seen_mem.add(pc)
                 mem_sites.append(pc)
-        elif opclass is OpClass.INDIRECT_JUMP:
-            target_reg = instr.rb
-            if target_reg is None or target_reg == _ZERO or target_reg >= 32:
-                continue
-            jumps.append((pc, visit, None))
     return SiteProfile(loads=loads, stores=stores, jumps=jumps,
                        mem_sites=mem_sites, executed=executed)
+
+
+def _site_pool(instr: Instruction, loads, stores, jumps) -> tuple:
+    """The pool an executed instruction feeds, with its displacement."""
+    opclass = instr.opclass
+    if opclass in (OpClass.LOAD, OpClass.STORE):
+        pool = loads if opclass is OpClass.LOAD else stores
+    elif opclass is OpClass.INDIRECT_JUMP:
+        pool = jumps
+    else:
+        return ()
+    reg = instr.rb
+    if reg is None or reg == _ZERO or reg >= 32:
+        return ()
+    return pool, instr.imm or 0
 
 
 # ----------------------------------------------------------------------

@@ -845,8 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true",
                    help="print progress to stderr")
     p.add_argument("--batch", type=int, default=None,
-                   help="cohort width for batched lane execution "
-                   "(0 disables; default: REPRO_BATCH or off)")
+                   help="accepted, with no effect on the campaign: every "
+                   "faulted program runs on the translated tier")
     p.add_argument("-j", "--jobs", type=int,
                    help="parallel workers (default: REPRO_JOBS or 1)")
     p.set_defaults(func=cmd_faults)

@@ -23,6 +23,7 @@ from repro.faults import (
 )
 from repro.faults.campaign import save_report
 from repro.faults.inject import (
+    SiteProfile,
     make_fault,
     mutate_image,
     profile_sites,
@@ -30,8 +31,12 @@ from repro.faults.inject import (
     state_mutator,
 )
 from repro.acf.base import plain_installation
-from repro.acf.mfi import ensure_error_stub
+from repro.acf.mfi import attach_mfi, ensure_error_stub
+from repro.isa.opcodes import OpClass
 from repro.program.builder import SEGMENT_SHIFT
+from repro.sim.functional import ZERO
+from repro.sim.memory import MASK64
+from repro.workloads import BENCHMARK_NAMES
 from repro.workloads.generator import generate_by_name
 
 SEED = 20031
@@ -147,6 +152,61 @@ class TestInjection:
             image.addresses[branch_idx] + 4 + (instr.imm + 1) * 4
         )
         assert mutated.target_index[branch_idx] == expected
+
+
+def _profile_sites_from_ops(image, trace):
+    """The per-``Op`` profiling loop, kept as the column walk's oracle."""
+    index_of_addr = image.index_of_addr
+    visits = {}
+    loads, stores, jumps = [], [], []
+    mem_sites, seen_mem = [], set()
+    executed, seen_exec = [], set()
+    for op in trace.ops:
+        pc = op.pc
+        idx = index_of_addr.get(pc)
+        if idx is None:
+            continue
+        visit = visits.get(pc, 0) + 1
+        visits[pc] = visit
+        if pc not in seen_exec:
+            seen_exec.add(pc)
+            executed.append(pc)
+        instr = image.instructions[idx]
+        opclass = instr.opclass
+        if opclass in (OpClass.LOAD, OpClass.STORE):
+            base_reg = instr.rb
+            if base_reg is None or base_reg == ZERO or base_reg >= 32:
+                continue
+            if op.mem_addr is None:
+                continue
+            base = (op.mem_addr - (instr.imm or 0)) & MASK64
+            (loads if opclass is OpClass.LOAD else stores).append(
+                (pc, visit, base)
+            )
+            if pc not in seen_mem:
+                seen_mem.add(pc)
+                mem_sites.append(pc)
+        elif opclass is OpClass.INDIRECT_JUMP:
+            target_reg = instr.rb
+            if target_reg is None or target_reg == ZERO or target_reg >= 32:
+                continue
+            jumps.append((pc, visit, None))
+    return SiteProfile(loads=loads, stores=stores, jumps=jumps,
+                       mem_sites=mem_sites, executed=executed)
+
+
+class TestProfileSites:
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_column_walk_matches_op_walk(self, name):
+        """Equal on the plain profiling trace and on an MFI trace, whose
+        replacement ops carry their trigger's pc."""
+        image = ensure_error_stub(generate_by_name(name, scale=0.05))
+        for installation in (plain_installation(image),
+                             attach_mfi(image, variant="dise3")):
+            trace = installation.run(max_steps=2_000_000)
+            profile = profile_sites(image, trace)
+            assert profile == _profile_sites_from_ops(image, trace)
+            assert profile.loads and profile.stores and profile.jumps
 
 
 class TestMiniCampaign:

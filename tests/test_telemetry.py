@@ -17,8 +17,15 @@ import logging
 import pytest
 
 from conftest import build_loop_program
+import repro.faults.campaign as campaign
 from repro.acf.mfi import attach_mfi
 from repro.errors import TaskError
+from repro.faults.campaign import (
+    CampaignConfig,
+    _fault_task,
+    _plan_fault,
+    _run_variant,
+)
 from repro.harness.parallel import TaskFailure, TraceTask
 from repro.telemetry import events as events_mod
 from repro.telemetry import registry as registry_mod
@@ -321,6 +328,43 @@ class TestInstrumentation:
 
     def test_identical_runs_yield_identical_snapshots(self):
         assert self._instrumented_run() == self._instrumented_run()
+
+
+class TestFaultedRunTelemetry:
+    """One rule for every outcome: a faulted campaign run publishes the
+    ``sim.*`` counters of everything it retired, whether it halts, takes
+    the MFI fault, crashes or exhausts its budget."""
+
+    #: Seed 17's f0019 hangs and f0039 crashes under both variants.
+    CONFIG = CampaignConfig(seed=17, faults=40, benchmarks=("bzip2", "gzip"))
+
+    @pytest.mark.parametrize("index, mfi, status", [
+        (0, False, "halt"), (1, True, "fault"), (39, True, "crash"),
+        (19, True, "hang"), (19, False, "hang"),
+    ])
+    def test_every_outcome_publishes(self, index, mfi, status,
+                                     monkeypatch):
+        _, _, _, bench, spec = _plan_fault(
+            _fault_task(self.CONFIG, index).params)
+        # Record the lazily traced MFI baseline before telemetry is on.
+        bench.arrival(True, spec.site_pc, 1)
+        machines = []
+        drive = campaign._drive
+
+        def keep(machine, *args):
+            machines.append(machine)
+            drive(machine, *args)
+
+        monkeypatch.setattr(campaign, "_drive", keep)
+        registry_mod.get_registry().reset()
+        with enabled_scope(True):
+            result = _run_variant(spec, bench, mfi)
+            snap = registry_mod.snapshot()
+        assert result["status"] == status
+        (machine,) = machines
+        assert machine.instructions > 0
+        for field in ("instructions", "app_instructions"):
+            assert snap[f"sim.{field}"]["value"] == getattr(machine, field)
 
 
 # ----------------------------------------------------------------------
